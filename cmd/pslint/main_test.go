@@ -36,8 +36,8 @@ func TestFindingOutputFormats(t *testing.T) {
 			name: "suppressed",
 			f: finding{
 				File: "internal/transport/net.go", Line: 12, Col: 9,
-				Analyzer: "resourcelifetime",
-				Message:  "conn c may reach this return without Close/Abort",
+				Analyzer:   "resourcelifetime",
+				Message:    "conn c may reach this return without Close/Abort",
 				Suppressed: true,
 			},
 			wantText: "internal/transport/net.go:12:9: resourcelifetime: conn c may reach this return without Close/Abort",

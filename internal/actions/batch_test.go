@@ -12,6 +12,8 @@ import (
 func kernelActions() []ParticleAction {
 	return []ParticleAction{
 		&Gravity{G: geom.V(0, -9.8, 0)},
+		&RandomAccel{Domain: geom.SphereDomain{InnerR: 0.5, OuterR: 2}},
+		&RandomAccel{Domain: geom.BoxDomain{B: geom.AABB{Min: geom.V(-1, -2, -3), Max: geom.V(3, 2, 1)}}},
 		&Damping{Coeff: 0.4},
 		&Damping{Coeff: 20}, // f clamps to 0 at DT=0.1
 		&Bounce{Plane: geom.NewPlane(geom.V(0, -2, 0), geom.V(0, 1, 0)), Elasticity: 0.5, Friction: 0.1},
@@ -58,12 +60,18 @@ func TestKernelsMatchApply(t *testing.T) {
 				act.Apply(c, &p)
 				want.Set(i, p)
 			}
-			ApplyToBatch(ctx(), act, got)
+			kc := ctx()
+			ApplyToBatch(kc, act, got)
+			// At() compares every column, so stochastic kernels are
+			// also checked for each particle's threaded Rand state.
 			for i := 0; i < want.Len(); i++ {
 				if want.At(i) != got.At(i) {
 					t.Fatalf("particle %d diverges:\napply  %+v\nkernel %+v",
 						i, want.At(i), got.At(i))
 				}
+			}
+			if kc.RNG.Save() != ctx().RNG.Save() {
+				t.Fatal("kernel consumed the system stream ctx.RNG")
 			}
 		})
 	}
@@ -73,9 +81,9 @@ func TestKernelsMatchApply(t *testing.T) {
 // must behave exactly like a hand-written Apply loop — including RNG
 // consumption order for stochastic actions.
 func TestApplyToBatchAdapterFallback(t *testing.T) {
-	act := &RandomAccel{Domain: geom.SphereDomain{OuterR: 2}}
+	act := &Vortex{Center: geom.V(0, 0, 0), Axis: geom.V(0, 1, 0), Strength: 3}
 	if _, ok := ParticleAction(act).(BatchAction); ok {
-		t.Fatal("RandomAccel unexpectedly has a kernel; pick a kernel-less action for this test")
+		t.Fatal("Vortex unexpectedly has a kernel; pick a kernel-less action for this test")
 	}
 	want := randBatch(200, 5)
 	got := randBatch(200, 5)

@@ -6,6 +6,7 @@ import (
 
 	"pscluster/internal/actions"
 	"pscluster/internal/cluster"
+	"pscluster/internal/geom"
 )
 
 // Bit-equality of the batched schedule against the sequential engine
@@ -127,5 +128,42 @@ func TestBatchedDeterministic(t *testing.T) {
 	}
 	if r1.Time != r2.Time || r1.MsgsSent != r2.MsgsSent {
 		t.Error("batched runs diverged")
+	}
+}
+
+// The manager's creation grouping scratch is keyed by creation slot:
+// the batched plan holds every slot's groups until one combined send,
+// so two creating actions in one system must not share groups. Frame
+// checksums must match the sequential engine and the per-system plan,
+// which sends each slot before generating the next.
+func TestBatchedTwoCreatorsInOneSystem(t *testing.T) {
+	twoSources := func(lb LBMode, sched Schedule) Scenario {
+		scn := miniSnow(lb, FiniteSpace)
+		sys := scn.Systems[1]
+		second := *sys.Actions[0].(*actions.Source)
+		second.Rate = 90
+		second.Pos = geom.BoxDomain{B: geom.Box(geom.V(-55, 20, -5), geom.V(55, 30, 5))}
+		sys.Actions = append([]actions.Action{sys.Actions[0], &second}, sys.Actions[1:]...)
+		scn.Systems[1] = sys
+		scn.Schedule = sched
+		return scn
+	}
+	for _, lb := range []LBMode{StaticLB, DynamicLB} {
+		t.Run(lb.String(), func(t *testing.T) {
+			seq, err := RunSequential(twoSources(lb, BatchedSchedule), cluster.TypeB, cluster.GCC)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perSys, err := RunParallel(twoSources(lb, PerSystemSchedule), testCluster(4), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batched, err := RunParallel(twoSources(lb, BatchedSchedule), testCluster(4), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareResults(t, seq, batched)
+			compareResults(t, perSys, batched)
+		})
 	}
 }

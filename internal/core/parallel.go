@@ -343,6 +343,13 @@ func newCalcProc(scn *Scenario, place *cluster.Placement, nCalc, idx int, fab tr
 	}
 	lo, hi := scn.SpaceInterval()
 	c.stores = make([]particle.Set, len(scn.Systems))
+	c.groups = make([][]*particle.Batch, len(scn.Systems))
+	for si := range c.groups {
+		c.groups[si] = make([]*particle.Batch, nCalc)
+		for p := range c.groups[si] {
+			c.groups[si][p] = &particle.Batch{}
+		}
+	}
 	for si := range c.stores {
 		// The store's axis interval drives sub-domain binning. Slab
 		// domains are axis intervals, so the store covers exactly the
@@ -372,9 +379,19 @@ func billed(payloadLen int, ratio float64) int {
 	return transport.Billed(payloadLen, ratio)
 }
 
-// groupByOwner splits particles by their owning calculator.
-func groupByOwner(ps []particle.Particle, d domain.Decomposition, nCalc int) [][]particle.Particle {
-	groups := make([][]particle.Particle, nCalc)
+// groupByOwner splits creation slot slot's particles of system si by
+// owning calculator. The groups are the manager's per-slot scratch,
+// reused every frame: keyed by creation slot, not system, because the
+// batched plan holds every slot's groups until its combined send.
+func (m *managerProc) groupByOwner(slot, si int, ps []particle.Particle) [][]particle.Particle {
+	for len(m.slotGroups) <= slot {
+		m.slotGroups = append(m.slotGroups, make([][]particle.Particle, m.nCalc))
+	}
+	groups := m.slotGroups[slot]
+	for c := range groups {
+		groups[c] = groups[c][:0]
+	}
+	d := m.decomps[si]
 	for i := range ps {
 		o := d.OwnerOf(ps[i].Pos)
 		groups[o] = append(groups[o], ps[i])
@@ -382,17 +399,22 @@ func groupByOwner(ps []particle.Particle, d domain.Decomposition, nCalc int) [][
 	return groups
 }
 
-// groupOwnerBatches splits a batch by owning calculator, scanning the
-// position column in order (the same particle order groupByOwner
-// produces from the equivalent slice).
-func groupOwnerBatches(b *particle.Batch, d domain.Decomposition, nCalc int) []*particle.Batch {
-	groups := make([]*particle.Batch, nCalc)
-	for i := range groups {
-		groups[i] = &particle.Batch{}
+// groupOwnerBatches splits a batch of system si by owning calculator,
+// scanning the position column in order (the same particle order
+// groupByOwner produces from the equivalent slice). The groups are the
+// calculator's per-(system, peer) scratch, shared by the exchange and
+// ownership migration: each call overwrites the system's previous
+// groups, which every caller has sent or stored by then.
+//
+//pslint:hotpath
+func (c *calcProc) groupOwnerBatches(si int, b *particle.Batch) []*particle.Batch {
+	groups := c.groups[si]
+	for _, g := range groups {
+		g.Clear()
 	}
+	d := c.decomps[si]
 	for i := range b.Pos {
-		o := d.OwnerOf(b.Pos[i])
-		groups[o].AppendIndex(b, i)
+		groups[d.OwnerOf(b.Pos[i])].AppendIndex(b, i)
 	}
 	return groups
 }
@@ -417,6 +439,10 @@ type managerProc struct {
 	imbalance     []float64 // per-frame max/mean load ratio, from LB reports
 	events        []Event
 	rec           *obs.Recorder // nil unless the run is profiled
+
+	// slotGroups is the creation scatter's grouping scratch, one
+	// per-calculator group set per creation slot; see groupByOwner.
+	slotGroups [][][]particle.Particle
 
 	fs managerFrame
 }
@@ -522,6 +548,10 @@ type calcProc struct {
 	lbMovedStored   int
 	events          []Event
 	rec             *obs.Recorder // nil unless the run is profiled
+
+	// groups is the exchange grouping scratch, one batch per (system,
+	// peer); see groupOwnerBatches.
+	groups [][]*particle.Batch
 
 	// wire is the reusable decode scratch for inbound particle batches:
 	// payloads decode into its columns (no per-message allocation) and

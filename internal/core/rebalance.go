@@ -175,7 +175,7 @@ func (rebalanceLB) calcBatchBalanceSteps(c *calcProc) []step {
 func (c *calcProc) migrateOwnership(si int) error {
 	st := c.stores[si]
 	out := c.partitionOut(si)
-	groups := groupOwnerBatches(out, c.decomps[si], c.nCalc)
+	groups := c.groupOwnerBatches(si, out)
 	if groups[c.idx].Len() > 0 {
 		st.AddBatch(groups[c.idx])
 	}
@@ -209,7 +209,7 @@ func (c *calcProc) migrateOwnershipBatched() error {
 	for si := range scn.Systems {
 		st := c.stores[si]
 		out := c.partitionOut(si)
-		groups := groupOwnerBatches(out, c.decomps[si], c.nCalc)
+		groups := c.groupOwnerBatches(si, out)
 		if groups[c.idx].Len() > 0 {
 			st.AddBatch(groups[c.idx])
 		}

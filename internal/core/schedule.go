@@ -46,6 +46,7 @@ type perSystemPlan struct{}
 func (perSystemPlan) compileManager(m *managerProc, pol lbPolicy) []step {
 	scn := m.scn
 	var prog []step
+	slots := 0
 	for si := range scn.Systems {
 		// Particle creation (§3.2.1): generate, then scatter by domain
 		// with one batch per calculator; the batch itself is the
@@ -57,11 +58,13 @@ func (perSystemPlan) compileManager(m *managerProc, pol lbPolicy) []step {
 				continue
 			}
 			cost := a.Cost()
+			slot := slots
+			slots++
 			prog = append(prog, step{phase: "particle-creation", sys: si, traced: true,
 				run: always(func() error {
 					ps := ca.Generate(m.ctxs[si])
 					m.ep.Clock().AdvanceWork(cost*float64(len(ps))*scn.Ratio, m.rate)
-					groups := groupByOwner(ps, m.decomps[si], m.nCalc)
+					groups := m.groupByOwner(slot, si, ps)
 					for c := 0; c < m.nCalc; c++ {
 						m.ep.SendScaled(rankCalc0+c, transport.TagParticles,
 							particle.EncodeBatch(groups[c]), scn.Ratio)
@@ -181,7 +184,7 @@ func (batchedPlan) compileManager(m *managerProc, pol lbPolicy) []step {
 				}
 				ps := ca.Generate(m.ctxs[si])
 				m.ep.Clock().AdvanceWork(a.Cost()*float64(len(ps))*scn.Ratio, m.rate)
-				groups := groupByOwner(ps, m.decomps[si], m.nCalc)
+				groups := m.groupByOwner(slots, si, ps)
 				for c := 0; c < m.nCalc; c++ {
 					perCalc[c] = append(perCalc[c], groups[c])
 				}
@@ -352,7 +355,7 @@ func (c *calcProc) exchangeSystem(si int) error {
 	c.fs.work[si] += scanWork
 
 	out := c.partitionOut(si)
-	groups := groupOwnerBatches(out, c.decomps[si], c.nCalc)
+	groups := c.groupOwnerBatches(si, out)
 	if groups[c.idx].Len() > 0 {
 		// Out-of-space particles clamp back to the outermost domains,
 		// which may be our own.
@@ -473,7 +476,7 @@ func (c *calcProc) batchedExchange() error {
 	for si := range scn.Systems {
 		st := c.stores[si]
 		out := c.partitionOut(si)
-		groups := groupOwnerBatches(out, c.decomps[si], c.nCalc)
+		groups := c.groupOwnerBatches(si, out)
 		if groups[c.idx].Len() > 0 {
 			st.AddBatch(groups[c.idx])
 		}

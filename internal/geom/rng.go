@@ -15,6 +15,10 @@ type RNG struct {
 // NewRNG returns a generator seeded with seed.
 func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 
+// Seed resets the generator to state seed — NewRNG in place, so a
+// kernel can thread many per-particle streams through one generator.
+func (r *RNG) Seed(seed uint64) { r.state = seed }
+
 // Save returns the generator state, which NewRNG restores exactly. The
 // engine threads per-particle streams through this: stochastic actions
 // draw from a particle's own saved state, so results are identical no

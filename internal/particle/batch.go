@@ -128,6 +128,27 @@ func (b *Batch) copyElem(dst, src int) {
 	b.Rand[dst], b.Dead[dst] = b.Rand[src], b.Dead[src]
 }
 
+// setIndex copies particle i of src over particle dst of the batch.
+func (b *Batch) setIndex(dst int, src *Batch, i int) {
+	b.Pos[dst], b.Up[dst], b.Vel[dst], b.Color[dst] = src.Pos[i], src.Up[i], src.Vel[i], src.Color[i]
+	b.Age[dst], b.Alpha[dst], b.Size[dst] = src.Age[i], src.Alpha[i], src.Size[i]
+	b.Rand[dst], b.Dead[dst] = src.Rand[i], src.Dead[i]
+}
+
+// shift copies the n particles starting at src to start at dst within
+// the batch; the ranges may overlap.
+func (b *Batch) shift(dst, src, n int) {
+	copy(b.Pos[dst:dst+n], b.Pos[src:src+n])
+	copy(b.Up[dst:dst+n], b.Up[src:src+n])
+	copy(b.Vel[dst:dst+n], b.Vel[src:src+n])
+	copy(b.Color[dst:dst+n], b.Color[src:src+n])
+	copy(b.Age[dst:dst+n], b.Age[src:src+n])
+	copy(b.Alpha[dst:dst+n], b.Alpha[src:src+n])
+	copy(b.Size[dst:dst+n], b.Size[src:src+n])
+	copy(b.Rand[dst:dst+n], b.Rand[src:src+n])
+	copy(b.Dead[dst:dst+n], b.Dead[src:src+n])
+}
+
 // BatchOf builds a batch from a particle slice.
 func BatchOf(ps []Particle) *Batch {
 	b := &Batch{}

@@ -20,6 +20,18 @@ type ColumnStore struct {
 	lo, hi float64
 	bins   []Batch
 	count  int
+
+	// Store-owned scratch reused by the structural calls, so a warm
+	// store re-bins and partitions without allocating (see Set for the
+	// ownership contract). out is the partition result handed to the
+	// caller; moved holds the particles changing bins mid-call, with
+	// moveSrc/moveDst their source and destination bins during Resize;
+	// binCounts (two ints per bin) is Resize's mover tally and cursor
+	// space.
+	out              Batch
+	moved            Batch
+	moveSrc, moveDst []int
+	binCounts        []int
 }
 
 // NewColumnStore returns an empty columnar store for the interval
@@ -32,7 +44,8 @@ func NewColumnStore(axis geom.Axis, lo, hi float64, nbins int) *ColumnStore {
 		panic(fmt.Sprintf("particle: NewColumnStore with reversed interval [%g, %g)", lo, hi))
 	}
 	lo, hi = widenDegenerate(lo, hi)
-	return &ColumnStore{axis: axis, lo: lo, hi: hi, bins: make([]Batch, nbins)}
+	return &ColumnStore{axis: axis, lo: lo, hi: hi, bins: make([]Batch, nbins),
+		binCounts: make([]int, 2*nbins)}
 }
 
 // Axis returns the split axis.
@@ -180,10 +193,14 @@ func (s *ColumnStore) RemoveDead() int {
 // PartitionBatch removes and returns every particle whose axis
 // coordinate has left the domain interval, re-binning the particles
 // that moved between sub-domains — Store.Partition in columnar form,
-// with the same output and re-add orders.
+// with the same output and re-add orders. The result is the store's
+// scratch batch: it stays valid until the next structural call.
+//
+//pslint:hotpath
 func (s *ColumnStore) PartitionBatch() *Batch {
-	out := &Batch{}
-	var moved Batch
+	out, moved := &s.out, &s.moved
+	out.Clear()
+	moved.Clear()
 	for bi := range s.bins {
 		b := &s.bins[bi]
 		kept := 0
@@ -209,16 +226,20 @@ func (s *ColumnStore) PartitionBatch() *Batch {
 	for i := range s.bins {
 		s.count += s.bins[i].Len()
 	}
-	s.AddBatch(&moved)
+	s.AddBatch(moved)
 	return out
 }
 
 // PartitionOwnedBatch removes and returns every particle for which
 // keep reports false — Store.PartitionOwned in columnar form, with the
-// same output and re-add orders.
+// same output and re-add orders. Like PartitionBatch, it returns the
+// store's scratch batch, valid until the next structural call.
+//
+//pslint:hotpath
 func (s *ColumnStore) PartitionOwnedBatch(keep func(geom.Vec3) bool) *Batch {
-	out := &Batch{}
-	var moved Batch
+	out, moved := &s.out, &s.moved
+	out.Clear()
+	moved.Clear()
 	for bi := range s.bins {
 		b := &s.bins[bi]
 		kept := 0
@@ -241,24 +262,84 @@ func (s *ColumnStore) PartitionOwnedBatch(keep func(geom.Vec3) bool) *Batch {
 	for i := range s.bins {
 		s.count += s.bins[i].Len()
 	}
-	s.AddBatch(&moved)
+	s.AddBatch(moved)
 	return out
 }
 
 // Resize changes the domain interval to [lo, hi) and re-bins every
-// stored particle, in the same order Store.Resize re-adds them.
+// stored particle in place, in the same order Store.Resize re-adds
+// them. That order — concatenate the bins, then re-add — puts into bin
+// j first the particles arriving from lower bins, then bin j's own
+// stayers, then the arrivals from higher bins, each group in source
+// order. One pass compacts the stayers and collects the movers (with
+// their source and destination bins) into store-owned scratch; a
+// second pass opens each destination's gap and writes its movers in
+// that order. A resize that moves no particle copies nothing.
+//
+//pslint:hotpath
 func (s *ColumnStore) Resize(lo, hi float64) {
 	if hi < lo {
-		panic(fmt.Sprintf("particle: Resize with reversed interval [%g, %g)", lo, hi))
+		panic(fmt.Sprintf("particle: Resize with reversed interval [%g, %g)", lo, hi)) //pslint:alloc-ok panic message on the cold failure path
 	}
-	lo, hi = widenDegenerate(lo, hi)
-	var all Batch
+	s.lo, s.hi = widenDegenerate(lo, hi)
+	moved := &s.moved
+	moved.Clear()
+	s.moveSrc, s.moveDst = s.moveSrc[:0], s.moveDst[:0]
 	for bi := range s.bins {
-		all.AppendBatch(&s.bins[bi])
+		b := &s.bins[bi]
+		kept := 0
+		for i := 0; i < b.Len(); i++ {
+			j := s.binIndex(b.Pos[i].Component(s.axis))
+			if j != bi {
+				moved.AppendIndex(b, i)
+				s.moveSrc = append(s.moveSrc, bi)
+				s.moveDst = append(s.moveDst, j)
+				continue
+			}
+			if kept != i {
+				b.copyElem(kept, i)
+			}
+			kept++
+		}
+		b.Truncate(kept)
 	}
-	s.lo, s.hi = lo, hi
-	s.Clear()
-	s.AddBatch(&all)
+	if moved.Len() == 0 {
+		return
+	}
+
+	// fromLow[j] counts bin j's arrivals from lower bins and arrive[j]
+	// all of its arrivals; both then serve as write cursors.
+	nb := len(s.bins)
+	clear(s.binCounts)
+	fromLow, arrive := s.binCounts[:nb], s.binCounts[nb:]
+	src, dst := s.moveSrc, s.moveDst
+	for k, j := range dst {
+		if src[k] < j {
+			fromLow[j]++
+		}
+		arrive[j]++
+	}
+	for j := range s.bins {
+		if arrive[j] == 0 {
+			continue
+		}
+		b := &s.bins[j]
+		stay := b.Len()
+		b.Grow(arrive[j])
+		b.shift(fromLow[j], 0, stay)
+		// Cursors: low arrivals fill [0, fromLow), high ones start
+		// after the shifted stayers.
+		arrive[j] = fromLow[j] + stay
+		fromLow[j] = 0
+	}
+	for k, j := range dst {
+		at := &arrive[j]
+		if src[k] < j {
+			at = &fromLow[j]
+		}
+		s.bins[j].setIndex(*at, moved, k)
+		*at++
+	}
 }
 
 // DonateBatch removes the n particles nearest the given edge and

@@ -54,7 +54,7 @@ func TestColumnStoreMatchesStoreUnderRandomOps(t *testing.T) {
 		}
 	}
 	for step := 0; step < 400; step++ {
-		switch r.Intn(8) {
+		switch r.Intn(11) {
 		case 0, 1:
 			p := randP()
 			aos.Add(p)
@@ -122,8 +122,67 @@ func TestColumnStoreMatchesStoreUnderRandomOps(t *testing.T) {
 			}
 			aos.AddBatch(&b)
 			soa.AddBatch(&b)
+		case 8:
+			resizeSame(aos, soa)
+		case 9:
+			resizeShift(aos, soa, r)
+		case 10:
+			resizeAfterDrift(aos, soa, r)
 		}
 		checkEqual(t, aos, soa)
+	}
+}
+
+// resizeSame resizes both stores to their current bounds — the call
+// dynamic balancing makes on every calculator every frame, usually
+// moving nothing.
+func resizeSame(aos *Store, soa *ColumnStore) {
+	lo, hi := aos.Bounds()
+	aos.Resize(lo, hi)
+	soa.Resize(lo, hi)
+}
+
+// resizeShift resizes both stores to their bounds shifted by a tiny
+// fraction of the width, so only particles near bin edges move.
+func resizeShift(aos *Store, soa *ColumnStore, r *geom.RNG) {
+	lo, hi := aos.Bounds()
+	d := (hi - lo) * r.Range(-1e-3, 1e-3)
+	aos.Resize(lo+d, hi+d)
+	soa.Resize(lo+d, hi+d)
+}
+
+// resizeAfterDrift moves every particle without partitioning, so many
+// sit in the wrong bin, then resizes both stores to their current
+// bounds: the re-bin must restore the concatenate-and-re-add order.
+func resizeAfterDrift(aos *Store, soa *ColumnStore, r *geom.RNG) {
+	drift := r.Range(-30, 30)
+	mut := func(p *Particle) { p.Pos.X += drift * float64(p.Rand%5) / 4 }
+	aos.ForEach(mut)
+	soa.ForEach(mut)
+	resizeSame(aos, soa)
+}
+
+// PartitionBatch hands out the store's scratch batch: a second call
+// reuses it, overwriting the first result.
+func TestPartitionBatchScratchContract(t *testing.T) {
+	s := NewColumnStore(geom.AxisX, 0, 100, 4)
+	for x := -10.0; x < 110; x += 5 {
+		s.Add(Particle{Pos: geom.V(x, 0, 0)})
+	}
+	first := s.PartitionBatch()
+	if first.Len() != 4 {
+		t.Fatalf("first partition returned %d particles, want 4", first.Len())
+	}
+	s.Add(Particle{Pos: geom.V(-50, 0, 0)})
+	second := s.PartitionBatch()
+	if second != first {
+		t.Fatal("second PartitionBatch returned a different batch; want the store's scratch")
+	}
+	if first.Len() != 1 || first.Pos[0].X != -50 {
+		t.Fatalf("first result not overwritten: %d particles, first at %v", first.Len(), first.Pos)
+	}
+	if s.Len() != 20 {
+		t.Fatalf("store holds %d particles, want 20", s.Len())
 	}
 }
 

@@ -110,7 +110,21 @@ func FuzzStoreOperations(f *testing.F) {
 		s := NewStore(geom.AxisX, -50, 50, 8)
 		r := geom.NewRNG(uint64(seed))
 		for i := 0; i < n; i++ {
-			s.Add(Particle{Pos: geom.V(r.Range(-200, 200), r.Range(-5, 5), 0)})
+			s.Add(Particle{Pos: geom.V(r.Range(-200, 200), r.Range(-5, 5), 0), Rand: r.Uint64()})
+		}
+		// The in-place columnar re-bin against Store.Resize: the
+		// steady-state same-bounds call, a tiny shift, and a resize
+		// after an un-partitioned drift.
+		aos, soa := NewStore(geom.AxisX, -50, 50, 8), NewColumnStore(geom.AxisX, -50, 50, 8)
+		aos.AddSlice(s.All())
+		soa.AddSlice(s.All())
+		for _, resize := range []func(){
+			func() { resizeSame(aos, soa) },
+			func() { resizeShift(aos, soa, r) },
+			func() { resizeAfterDrift(aos, soa, r) },
+		} {
+			resize()
+			checkEqual(t, aos, soa)
 		}
 		if s.Len() != n {
 			t.Fatalf("Len = %d, want %d", s.Len(), n)

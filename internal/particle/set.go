@@ -8,6 +8,14 @@ import "pscluster/internal/geom"
 // implementations share iteration orders, binning arithmetic and
 // donation sort permutations, so an engine is bit-for-bit identical
 // under either — the layout only changes how fast the host walks it.
+//
+// Scratch ownership: the batch PartitionBatch and PartitionOwnedBatch
+// return may be owned by the store and reused. It stays valid only
+// until the next structural call on the same store (Clear, RemoveDead,
+// either partition, Resize, DonateBatch, WithStore); a caller that
+// needs the particles longer must group or copy them first. Adds do
+// not invalidate it, so a caller may add part of the result back.
+// DonateBatch returns a batch the caller owns.
 type Set interface {
 	// Geometry and size.
 	Axis() geom.Axis
