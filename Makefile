@@ -45,21 +45,22 @@ race:
 	$(GO) test -race ./...
 
 # Focused race check over traced/profiled parallel runs and the
-# host-parallel width cross-product.
+# fused-vs-unfused kernel cross-product.
 race-obs:
-	$(GO) test -race ./internal/core/ -run 'Profile|Profiled|Figure2|HostParallel|FusedKernels|WorkerPool'
+	$(GO) test -race ./internal/core/ -run 'Profile|Profiled|Figure2|FusedKernels'
 
 # Benchmark harness: runs the AoS-vs-SoA kernel and wire codec
-# benchmarks into BENCH_dataplane.json, then the host-parallel suite
-# (worker scaling at widths 1/2/4/8, fused-vs-unfused kernels, pooled
-# wire encode) into BENCH_hostparallel.json. Both machine-readable
-# artifacts (ns/op + allocs/op) are committed with the repo.
+# benchmarks and the columnar-store engine run into
+# BENCH_dataplane.json, then the host-side suite (fused-vs-unfused
+# kernels, pooled wire encode) into BENCH_hostparallel.json. Both
+# machine-readable artifacts (ns/op + allocs/op) are committed with the
+# repo.
 bench:
 	$(GO) test -run '^$$' -bench 'KernelsAoSvsSoA|ExchangeEncode|ExchangeDecode|AblationColumnStore' \
 	  -benchtime $(BENCHTIME) -benchmem ./internal/actions/ ./internal/particle/ . | \
 	  tee /dev/stderr | $(GO) run ./cmd/psbench -benchjson BENCH_dataplane.json
-	$(GO) test -run '^$$' -bench 'WorkerScaling|FusedVsUnfused|PooledEncode' \
-	  -benchtime $(BENCHTIME) -benchmem ./internal/core/ ./internal/actions/ ./internal/particle/ | \
+	$(GO) test -run '^$$' -bench 'FusedVsUnfused|PooledEncode' \
+	  -benchtime $(BENCHTIME) -benchmem ./internal/actions/ ./internal/particle/ | \
 	  tee /dev/stderr | $(GO) run ./cmd/psbench -benchjson BENCH_hostparallel.json
 	$(GO) test -run '^$$' -bench 'DecompImbalance' -benchtime 1x \
 	  ./internal/experiments/ | \

@@ -268,28 +268,20 @@ func BenchmarkAblationSubdomainStore(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationColumnStore compares the two particle data planes on
-// a full engine run: the default columnar (SoA) store with batch
-// kernels and the columnar wire codec, against the AoSStore ablation
-// that swaps every store back to the record-based layout. Both produce
-// bit-identical results; the difference is host wall-clock per run.
+// BenchmarkAblationColumnStore measures a full engine run (Snow, 8
+// calculators, DLB) on the columnar store with batch kernels and the
+// columnar wire codec. The sub-benchmark keeps its "soa" name so
+// BENCH_dataplane.json rows stay comparable across regenerations.
 func BenchmarkAblationColumnStore(b *testing.B) {
 	cl := cluster.New(cluster.Myrinet, cluster.GCC, cluster.NodeSpec{Type: cluster.TypeB, Count: 8})
-	for _, aos := range []bool{false, true} {
-		name := "soa"
-		if aos {
-			name = "aos"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				scn := experiments.Snow(benchCfg, core.FiniteSpace, core.DynamicLB)
-				scn.AoSStore = aos
-				if _, err := core.RunParallel(scn, cl, 8); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("soa", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			scn := experiments.Snow(benchCfg, core.FiniteSpace, core.DynamicLB)
+			if _, err := core.RunParallel(scn, cl, 8); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkAblationPipelinedRender measures what overlapping frames

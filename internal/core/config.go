@@ -11,7 +11,6 @@ import (
 	"pscluster/internal/actions"
 	"pscluster/internal/domain"
 	"pscluster/internal/geom"
-	"pscluster/internal/particle"
 )
 
 // InfiniteExtent is the half-width of the default decomposition interval
@@ -259,21 +258,6 @@ type Scenario struct {
 	// paper's heterogeneity mechanism.
 	IgnorePower bool
 
-	// AoSStore makes both engines run on the array-of-structs Store
-	// instead of the default columnar ColumnStore — the data-plane
-	// ablation. The two layouts are bit-for-bit equivalent (checksums,
-	// clocks, traffic); only host wall-clock differs.
-	AoSStore bool
-
-	// Workers is the host-parallel compute width: each calculator (and
-	// the sequential engine) fans its per-bin kernel applications across
-	// this many goroutines. 0 or 1 runs sequentially; negative means
-	// GOMAXPROCS. Parallel runs are bit-identical to sequential —
-	// checksums, virtual clocks, traces and metrics do not change with
-	// the width — only host wall-clock differs. Requires the columnar
-	// store; under AoSStore the width is ignored.
-	Workers int
-
 	// Unfused disables kernel fusion, running each per-particle action
 	// as its own column pass — the ablation for the fused single-pass
 	// kernels. Fused and unfused runs are bit-for-bit equivalent.
@@ -463,13 +447,4 @@ func (s *Scenario) newDecomposition(nCalc int) (domain.Decomposition, error) {
 		lo, hi := s.SpaceInterval()
 		return domain.NewEqual(s.Axis, lo, hi, nCalc)
 	}
-}
-
-// newStore builds one (system, process) particle store over [lo, hi)
-// in the scenario's configured data-plane layout.
-func (s *Scenario) newStore(lo, hi float64) particle.Set {
-	if s.AoSStore {
-		return particle.NewStore(s.Axis, lo, hi, s.Bins)
-	}
-	return particle.NewColumnStore(s.Axis, lo, hi, s.Bins)
 }

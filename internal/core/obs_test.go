@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -11,6 +12,21 @@ import (
 	"pscluster/internal/obs"
 	"pscluster/internal/obs/live"
 )
+
+// marshalF2 renders a run the way cmd/psbench's F2 JSON embeds it:
+// trace events plus the full metrics snapshot. Byte equality here means
+// the benchmark artifacts cannot tell worker widths apart.
+func marshalF2(t *testing.T, res *Result, prof *obs.Profile) []byte {
+	t.Helper()
+	data, err := json.Marshal(struct {
+		Events  []Event      `json:"events"`
+		Metrics obs.Snapshot `json:"metrics"`
+	}{res.Events, prof.Registry.Snapshot()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
 
 // profiledVariants enumerates the run shapes the observability layer
 // must cover: both schedules, every LB mode that each supports.
@@ -124,6 +140,21 @@ func TestProfileMetricsMatchResult(t *testing.T) {
 	}
 	if snap.SumCounter("pscluster_lb_evaluations_total") == 0 {
 		t.Error("no LB evaluations counted under DLB")
+	}
+	// Compute-pass counters per calculator rank: non-empty bins visited
+	// and the particles they held, summed over every kernel pass.
+	wantPasses := map[string]float64{
+		"bin/2": 76, "bin/3": 1216, "bin/4": 1172, "bin/5": 72,
+		"particle/2": 16912, "particle/3": 18896, "particle/4": 15752, "particle/5": 13240,
+	}
+	gotPasses := map[string]float64{}
+	for _, c := range snap.Counters {
+		if kind, ok := strings.CutPrefix(c.Name, "pscluster_compute_"); ok {
+			gotPasses[strings.TrimSuffix(kind, "_passes_total")+"/"+c.Labels["rank"]] = c.Value
+		}
+	}
+	if !reflect.DeepEqual(gotPasses, wantPasses) {
+		t.Errorf("compute-pass counters = %v, want %v", gotPasses, wantPasses)
 	}
 	// Per-process clock gauges must carry the exact per-proc times.
 	for rank, want := range res.PerProcTime {

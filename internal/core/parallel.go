@@ -192,18 +192,13 @@ func assembleProfile(res *Result, mgr *managerProc, img *imageGenProc, calcs []*
 			"final stored particles per calculator",
 			"rank", strconv.Itoa(rankCalc0+i)).Set(float64(load))
 	}
-	// Per-rank compute-plane aggregates. Only width-independent totals
-	// are exported: the multiset of (bin, kernel) applications is fixed
-	// by the scenario, so these counters — unlike any per-worker-slot
-	// breakdown — are bit-identical at every Workers setting.
 	for i, c := range calcs {
-		bins, parts := c.pool.totals()
 		reg.Counter("pscluster_compute_bin_passes_total",
 			"bin-batch kernel applications per calculator",
-			"rank", strconv.Itoa(rankCalc0+i)).Add(float64(bins))
+			"rank", strconv.Itoa(rankCalc0+i)).Add(float64(c.passes.bins))
 		reg.Counter("pscluster_compute_particle_passes_total",
 			"particle kernel applications per calculator (stored scale)",
-			"rank", strconv.Itoa(rankCalc0+i)).Add(float64(parts))
+			"rank", strconv.Itoa(rankCalc0+i)).Add(float64(c.passes.particles))
 	}
 	for rank, t := range res.PerProcTime {
 		reg.Gauge("pscluster_proc_time_seconds",
@@ -342,7 +337,7 @@ func newCalcProc(scn *Scenario, place *cluster.Placement, nCalc, idx int, fab tr
 		power: calcPower(scn, place, nCalc),
 	}
 	lo, hi := scn.SpaceInterval()
-	c.stores = make([]particle.Set, len(scn.Systems))
+	c.stores = make([]*particle.ColumnStore, len(scn.Systems))
 	c.groups = make([][]*particle.Batch, len(scn.Systems))
 	for si := range c.groups {
 		c.groups[si] = make([]*particle.Batch, nCalc)
@@ -361,7 +356,7 @@ func newCalcProc(scn *Scenario, place *cluster.Placement, nCalc, idx int, fab tr
 		if t, ok := decomps[si].(*domain.Table); ok {
 			slo, shi = t.Bounds(idx)
 		}
-		c.stores[si] = scn.newStore(slo, shi)
+		c.stores[si] = particle.NewColumnStore(scn.Axis, slo, shi, scn.Bins)
 	}
 	return c, nil
 }
@@ -532,17 +527,17 @@ type calcProc struct {
 	ep      transport.Fabric
 	rate    float64
 	decomps []domain.Decomposition
-	stores  []particle.Set
+	stores  []*particle.ColumnStore
 	nCalc   int
 	power   []float64
 
 	ctxs   []*actions.Context
 	others []int // every calculator rank except this one, ascending
 
-	// pool fans per-bin kernel applications across host goroutines;
-	// plans is the compiled (and possibly fused) run program per system.
-	pool  *workerPool
-	plans [][]actions.Run
+	// plans is the compiled (and possibly fused) run program per
+	// system; passes tallies the per-bin kernel applications they made.
+	plans  [][]actions.Run
+	passes passCount
 
 	exchangedStored int
 	lbMovedStored   int
@@ -637,12 +632,6 @@ func (c *calcProc) run() error {
 	c.fs.work = make([]float64, len(scn.Systems))
 	c.fs.oldLoad = make([]int, len(scn.Systems))
 	c.renderBlobs = make([][]byte, 0, len(scn.Systems))
-	width := scn.Workers
-	if width == 0 {
-		width = 1
-	}
-	c.pool = newWorkerPool(width)
-	defer c.pool.Close()
 	c.plans = compilePlans(scn)
 	return runProgram(c, scn.Schedule.plan().compileCalc(c, scn.lbPolicy()))
 }

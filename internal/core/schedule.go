@@ -272,8 +272,7 @@ func (batchedPlan) compileImage(g *imageGenProc) []step {
 // fused kernel, or a single per-particle action — advancing the clock
 // and accumulating the frame's work for the load report. The clock is
 // charged per source action, after the kernel, in action-list order:
-// neither fusion nor the worker pool perturbs the sequential charge
-// sequence.
+// fusion does not perturb the sequential charge sequence.
 func (c *calcProc) applyRun(si int, r *actions.Run) error {
 	scn := c.scn
 	st := c.stores[si]
@@ -287,14 +286,14 @@ func (c *calcProc) applyRun(si int, r *actions.Run) error {
 		c.ep.Clock().AdvanceWork(w, c.rate)
 		c.fs.work[si] += w
 	case r.Fused != nil:
-		applyKernelToSet(st, c.ctxs[si], r.Fused, c.pool)
+		c.passes.add(applyKernelToSet(st, c.ctxs[si], r.Fused))
 		for _, a := range r.Acts {
 			w := a.Cost() * float64(st.Len()) * scn.Ratio
 			c.ep.Clock().AdvanceWork(w, c.rate)
 			c.fs.work[si] += w
 		}
 	case len(r.Acts) == 1:
-		applyToSet(st, c.ctxs[si], r.Acts[0], c.pool)
+		c.passes.add(applyToSet(st, c.ctxs[si], r.Acts[0]))
 		w := r.Acts[0].Cost() * float64(st.Len()) * scn.Ratio
 		c.ep.Clock().AdvanceWork(w, c.rate)
 		c.fs.work[si] += w
@@ -322,7 +321,7 @@ func (c *calcProc) runScripted(si int) {
 	scn := c.scn
 	st := c.stores[si]
 	for _, pa := range scn.scriptedFor(c.fs.frame, si) {
-		applyToSet(st, c.ctxs[si], pa, c.pool)
+		c.passes.add(applyToSet(st, c.ctxs[si], pa))
 		w := pa.Cost() * float64(st.Len()) * scn.Ratio
 		c.ep.Clock().AdvanceWork(w, c.rate)
 		c.fs.work[si] += w
@@ -656,44 +655,42 @@ func (g *imageGenProc) chargeBlob(blob []byte) {
 	}
 }
 
-// applyToSet runs one per-particle action over every bin batch of st:
-// migrated actions stream their columnar kernels, the rest go through
-// the AoS-compat adapter. Either way the per-particle operations and
-// their order match the historical ForEach+Apply loop exactly. With a
-// multi-slot pool and a columnar store the bins fan out across the
-// worker goroutines; bins are disjoint and the kernels touch only their
-// own bin, so the result is bit-identical to the sequential pass.
+// passCount tallies per-bin kernel applications: the non-empty bins a
+// pass visited and the particles they held. Calculators export the
+// totals as the pscluster_compute_*_passes_total counters.
+type passCount struct{ bins, particles int }
+
+func (n *passCount) add(m passCount) {
+	n.bins += m.bins
+	n.particles += m.particles
+}
+
+// applyToSet runs one per-particle action over every non-empty bin of
+// st, in bin order: migrated actions stream their columnar kernels, the
+// rest go through the AoS-compat adapter. Either way the per-particle
+// operations and their order match the historical ForEach+Apply loop
+// exactly.
 //
-//pslint:clock-ok every caller (applyRun, runScripted) charges Cost×len×Ratio right after the kernel
-func applyToSet(st particle.Set, ctx *actions.Context, act actions.ParticleAction, pool *workerPool) {
-	if bins := pool.parallelBins(st); bins != nil {
-		pool.runBins(bins, func(bi, slot int) {
-			b := bins[bi]
-			actions.ApplyToBatch(ctx, act, b)
-			pool.note(slot, b.Len())
-		})
-		return
-	}
+//pslint:clock-ok every caller (applyRun, runScripted, RunSequential) charges Cost×len×Ratio right after the kernel
+func applyToSet(st *particle.ColumnStore, ctx *actions.Context, act actions.ParticleAction) passCount {
+	var n passCount
 	st.EachBatch(func(b *particle.Batch) {
 		actions.ApplyToBatch(ctx, act, b)
-		pool.note(0, b.Len())
+		n.bins++
+		n.particles += b.Len()
 	})
+	return n
 }
 
 // applyKernelToSet is applyToSet for a fused kernel: one single-pass
 // kernel standing for a chain of adjacent per-particle actions. The
-// caller (applyRun) charges each fused action's cost after the pass.
-func applyKernelToSet(st particle.Set, ctx *actions.Context, k actions.Kernel, pool *workerPool) {
-	if bins := pool.parallelBins(st); bins != nil {
-		pool.runBins(bins, func(bi, slot int) {
-			b := bins[bi]
-			k(ctx, b)
-			pool.note(slot, b.Len())
-		})
-		return
-	}
+// caller charges each fused action's cost after the pass.
+func applyKernelToSet(st *particle.ColumnStore, ctx *actions.Context, k actions.Kernel) passCount {
+	var n passCount
 	st.EachBatch(func(b *particle.Batch) {
 		k(ctx, b)
-		pool.note(0, b.Len())
+		n.bins++
+		n.particles += b.Len()
 	})
+	return n
 }

@@ -28,10 +28,10 @@ func RunSequential(scn Scenario, node cluster.NodeType, comp cluster.Compiler) (
 	var clock cluster.Clock
 	lo, hi := scn.SpaceInterval()
 
-	stores := make([]particle.Set, len(scn.Systems))
+	stores := make([]*particle.ColumnStore, len(scn.Systems))
 	ctxs := make([]*actions.Context, len(scn.Systems))
 	for i := range scn.Systems {
-		stores[i] = scn.newStore(lo, hi)
+		stores[i] = particle.NewColumnStore(scn.Axis, lo, hi, scn.Bins)
 		ctxs[i] = &actions.Context{RNG: geom.NewRNG(scn.Systems[i].Seed), DT: scn.DT}
 	}
 
@@ -47,15 +47,8 @@ func RunSequential(scn Scenario, node cluster.NodeType, comp cluster.Compiler) (
 	}
 
 	// The sequential engine shares the parallel engine's compute plane:
-	// compiled (and possibly fused) run programs, and a worker pool
-	// fanning per-bin kernels across host goroutines. Both are
-	// bit-neutral, so the baseline's virtual time is unchanged.
-	width := scn.Workers
-	if width == 0 {
-		width = 1
-	}
-	pool := newWorkerPool(width)
-	defer pool.Close()
+	// compiled (and possibly fused) run programs. Fusion is bit-neutral,
+	// so the baseline's virtual time is unchanged.
 	plans := compilePlans(&scn)
 
 	res := &Result{Frames: scn.Frames}
@@ -91,12 +84,12 @@ func RunSequential(scn Scenario, node cluster.NodeType, comp cluster.Compiler) (
 					st.WithStore(func(s *particle.Store) { work = r.Store.ApplyStore(ctx, s) })
 					clock.AdvanceWork(work*scn.Ratio, rate)
 				case r.Fused != nil:
-					applyKernelToSet(st, ctx, r.Fused, pool)
+					applyKernelToSet(st, ctx, r.Fused)
 					for _, a := range r.Acts {
 						clock.AdvanceWork(a.Cost()*float64(st.Len())*scn.Ratio, rate)
 					}
 				case len(r.Acts) == 1:
-					applyToSet(st, ctx, r.Acts[0], pool)
+					applyToSet(st, ctx, r.Acts[0])
 					clock.AdvanceWork(r.Acts[0].Cost()*float64(st.Len())*scn.Ratio, rate)
 				default:
 					name := "nil"
@@ -107,7 +100,7 @@ func RunSequential(scn Scenario, node cluster.NodeType, comp cluster.Compiler) (
 				}
 			}
 			for _, pa := range scn.scriptedFor(frame, si) {
-				applyToSet(st, ctxs[si], pa, pool)
+				applyToSet(st, ctxs[si], pa)
 				clock.AdvanceWork(pa.Cost()*float64(st.Len())*scn.Ratio, rate)
 			}
 			st.RemoveDead()

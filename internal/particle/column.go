@@ -7,14 +7,21 @@ import (
 	"pscluster/internal/geom"
 )
 
-// ColumnStore is the columnar (struct-of-arrays) twin of Store: the
-// same sub-domain binned container of the paper's §4, but each bin
-// keeps its particles as a Batch of per-field columns instead of a
-// slice of records. Every operation — binning, partition, resize,
-// donation — reproduces Store's iteration orders, float operations and
-// sort permutations exactly, so the two stores are bit-for-bit
-// interchangeable; ColumnStore is simply the layout the batch kernels
-// and the columnar wire codec stream over without per-particle copies.
+// ColumnStore is the store the engines run on: the sub-domain binned
+// container of the paper's §4, with each bin keeping its particles as a
+// Batch of per-field columns — the layout the batch kernels and the
+// columnar wire codec stream over without per-particle copies. Every
+// operation — binning, partition, resize, donation — reproduces Store's
+// iteration orders, float operations and sort permutations exactly, so
+// the record-based Store serves as its reference.
+//
+// Scratch ownership: the batch PartitionBatch and PartitionOwnedBatch
+// return is owned by the store and reused. It stays valid only until
+// the next structural call on the same store (Clear, RemoveDead, either
+// partition, Resize, DonateBatch, WithStore); a caller that needs the
+// particles longer must group or copy them first. Adds do not
+// invalidate it, so a caller may add part of the result back.
+// DonateBatch returns a batch the caller owns.
 type ColumnStore struct {
 	axis   geom.Axis
 	lo, hi float64
@@ -22,12 +29,12 @@ type ColumnStore struct {
 	count  int
 
 	// Store-owned scratch reused by the structural calls, so a warm
-	// store re-bins and partitions without allocating (see Set for the
-	// ownership contract). out is the partition result handed to the
-	// caller; moved holds the particles changing bins mid-call, with
-	// moveSrc/moveDst their source and destination bins during Resize;
-	// binCounts (two ints per bin) is Resize's mover tally and cursor
-	// space.
+	// store re-bins and partitions without allocating (see the
+	// ownership contract above). out is the partition result handed to
+	// the caller; moved holds the particles changing bins mid-call,
+	// with moveSrc/moveDst their source and destination bins during
+	// Resize; binCounts (two ints per bin) is Resize's mover tally and
+	// cursor space.
 	out              Batch
 	moved            Batch
 	moveSrc, moveDst []int
@@ -124,21 +131,6 @@ func (s *ColumnStore) EachBatch(fn func(*Batch)) {
 		}
 		fn(&s.bins[bi])
 	}
-}
-
-// AppendBins appends the store's non-empty bin batches to dst in bin
-// order and returns the extended slice — the indexable form of
-// EachBatch the engine's worker pool fans out across goroutines. The
-// returned pointers alias the live bins: callers may mutate column
-// values but must not grow or shrink the batches.
-func (s *ColumnStore) AppendBins(dst []*Batch) []*Batch {
-	for bi := range s.bins {
-		if s.bins[bi].Len() == 0 {
-			continue
-		}
-		dst = append(dst, &s.bins[bi])
-	}
-	return dst
 }
 
 // Bin returns bin bi's live columns (possibly empty). The indexable,

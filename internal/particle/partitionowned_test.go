@@ -138,21 +138,22 @@ func TestPartitionOwnedBatchColumnMatchesStore(t *testing.T) {
 }
 
 func TestPartitionOwnedKeepAllKeepNone(t *testing.T) {
-	for name, set := range map[string]Set{
-		"store":  NewStore(geom.AxisX, 0, 100, 4),
-		"column": NewColumnStore(geom.AxisX, 0, 100, 4),
-	} {
+	check := func(name string, add func(Particle), partition func(func(geom.Vec3) bool) *Batch, size func() int) {
 		r := geom.NewRNG(13)
 		for i := 0; i < 50; i++ {
-			set.Add(Particle{Pos: geom.V(r.Range(0, 100), 0, 0)})
+			add(Particle{Pos: geom.V(r.Range(0, 100), 0, 0)})
 		}
-		all := set.PartitionOwnedBatch(func(geom.Vec3) bool { return true })
-		if all.Len() != 0 || set.Len() != 50 {
-			t.Errorf("%s: keep-all moved %d, kept %d", name, all.Len(), set.Len())
+		all := partition(func(geom.Vec3) bool { return true })
+		if all.Len() != 0 || size() != 50 {
+			t.Errorf("%s: keep-all moved %d, kept %d", name, all.Len(), size())
 		}
-		none := set.PartitionOwnedBatch(func(geom.Vec3) bool { return false })
-		if none.Len() != 50 || set.Len() != 0 {
-			t.Errorf("%s: keep-none moved %d, kept %d", name, none.Len(), set.Len())
+		none := partition(func(geom.Vec3) bool { return false })
+		if none.Len() != 50 || size() != 0 {
+			t.Errorf("%s: keep-none moved %d, kept %d", name, none.Len(), size())
 		}
 	}
+	s := NewStore(geom.AxisX, 0, 100, 4)
+	check("store", s.Add, s.PartitionOwnedBatch, s.Len)
+	c := NewColumnStore(geom.AxisX, 0, 100, 4)
+	check("column", c.Add, c.PartitionOwnedBatch, c.Len)
 }

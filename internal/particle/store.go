@@ -16,6 +16,11 @@ import (
 // particles that actually moved out of the interval, and load-balancing
 // donation only needs to sort the edge bins rather than the whole
 // domain.
+//
+// Store is the array-of-structs layout. The engines run on ColumnStore;
+// Store remains as the view StoreActions work on (ColumnStore.WithStore),
+// the store of the Sims baseline, and the reference ColumnStore's
+// equivalence tests compare against.
 type Store struct {
 	axis   geom.Axis
 	lo, hi float64
@@ -77,6 +82,22 @@ func (s *Store) binIndex(c float64) int {
 	return binIndexIn(s.lo, s.hi, len(s.bins), c)
 }
 
+// binIndexIn maps an axis coordinate to one of nbins bins over
+// [lo, hi), clamping out-of-range coordinates into the edge bins. Both
+// store layouts use this one function so their binning arithmetic
+// cannot drift apart.
+func binIndexIn(lo, hi float64, nbins int, c float64) int {
+	f := (c - lo) / (hi - lo)
+	i := int(f * float64(nbins))
+	if i < 0 {
+		i = 0
+	}
+	if i >= nbins {
+		i = nbins - 1
+	}
+	return i
+}
+
 // Add stores one particle, binning it by its axis coordinate.
 func (s *Store) Add(p Particle) {
 	i := s.binIndex(p.Pos.Component(s.axis))
@@ -91,6 +112,13 @@ func (s *Store) AddSlice(ps []Particle) {
 	}
 }
 
+// AddBatch stores every particle of b.
+func (s *Store) AddBatch(b *Batch) {
+	for i := 0; i < b.Len(); i++ {
+		s.Add(b.At(i))
+	}
+}
+
 // ForEach calls fn for every stored particle; fn may mutate the particle
 // in place (property and position actions do). Iteration order is
 // deterministic: bins in order, insertion order within a bin.
@@ -99,6 +127,25 @@ func (s *Store) ForEach(fn func(*Particle)) {
 		b := s.bins[bi]
 		for i := range b {
 			fn(&b[i])
+		}
+	}
+}
+
+// EachBatch calls fn once per non-empty bin with the bin's particles
+// copied into a scratch Batch, writing mutated values back afterwards.
+// fn must not grow or shrink the batch.
+func (s *Store) EachBatch(fn func(*Batch)) {
+	var tmp Batch
+	for bi := range s.bins {
+		bin := s.bins[bi]
+		if len(bin) == 0 {
+			continue
+		}
+		tmp.Clear()
+		tmp.AppendSlice(bin)
+		fn(&tmp)
+		for i := range bin {
+			bin[i] = tmp.At(i)
 		}
 	}
 }
@@ -201,6 +248,12 @@ func (s *Store) PartitionOwned(keep func(geom.Vec3) bool) []Particle {
 	}
 	s.AddSlice(moved)
 	return out
+}
+
+// PartitionOwnedBatch is PartitionOwned returning a Batch, the shape
+// ColumnStore.PartitionOwnedBatch returns.
+func (s *Store) PartitionOwnedBatch(keep func(geom.Vec3) bool) *Batch {
+	return BatchOf(s.PartitionOwned(keep))
 }
 
 // Resize changes the domain interval to [lo, hi) and re-bins every

@@ -20,8 +20,8 @@ import (
 // ingest call order. A pixel is therefore touched by exactly one
 // goroutine, in exactly the order a serial splatter would touch it, so
 // the accumulated floats — and with them Checksum() and the PPM bytes —
-// are bit-identical at any width. Like the compute plane's workerPool,
-// the Plane moves host work around but never changes what is computed.
+// are bit-identical at any width. The Plane moves host work around but
+// never changes what is computed.
 //
 // The Plane is free-threaded in the small: one goroutine ingests and
 // barriers, the workers splat, the finisher writes. It is not safe for

@@ -1,8 +1,10 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"pscluster/internal/actions"
 	"pscluster/internal/core"
@@ -258,8 +260,6 @@ type jsonScenario struct {
 	DecompStep       float64      `json:"decomp_step,omitempty"`
 	GhostCollisions  bool         `json:"ghost_collisions,omitempty"`
 	PipelineFrames   bool         `json:"pipeline_frames,omitempty"`
-	AoSStore         bool         `json:"aos_store,omitempty"`
-	Workers          int          `json:"workers,omitempty"`
 	RenderWorkers    int          `json:"render_workers,omitempty"`
 	Unfused          bool         `json:"unfused,omitempty"`
 	ExchangeScanWork float64      `json:"exchange_scan_work,omitempty"`
@@ -278,8 +278,6 @@ func Encode(scn core.Scenario) ([]byte, error) {
 		LBMinBatch:       scn.LBMinBatch,
 		GhostCollisions:  scn.GhostCollisions,
 		PipelineFrames:   scn.PipelineFrames,
-		AoSStore:         scn.AoSStore,
-		Workers:          scn.Workers,
 		RenderWorkers:    scn.Render.RenderWorkers,
 		Unfused:          scn.Unfused,
 		ExchangeScanWork: scn.ExchangeScanWork,
@@ -332,11 +330,18 @@ func Encode(scn core.Scenario) ([]byte, error) {
 	return json.MarshalIndent(js, "", "  ")
 }
 
-// Decode parses a scenario from JSON.
+// Decode parses a scenario from JSON. Unknown keys are errors, so a
+// misspelt or retired option cannot silently run a different
+// configuration; so is anything after the scenario object.
 func Decode(data []byte) (core.Scenario, error) {
 	var js jsonScenario
-	if err := json.Unmarshal(data, &js); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&js); err != nil {
 		return core.Scenario{}, fmt.Errorf("scenario: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return core.Scenario{}, fmt.Errorf("scenario: data after the scenario object")
 	}
 	axis, err := parseAxis(js.Axis)
 	if err != nil {
@@ -353,8 +358,6 @@ func Decode(data []byte) (core.Scenario, error) {
 		LBMinBatch:       js.LBMinBatch,
 		GhostCollisions:  js.GhostCollisions,
 		PipelineFrames:   js.PipelineFrames,
-		AoSStore:         js.AoSStore,
-		Workers:          js.Workers,
 		Unfused:          js.Unfused,
 		ExchangeScanWork: js.ExchangeScanWork,
 	}

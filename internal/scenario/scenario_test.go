@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -68,7 +70,6 @@ func fullScenario() core.Scenario {
 		LBMinBatch:       10,
 		Schedule:         core.BatchedSchedule,
 		GhostCollisions:  true,
-		Workers:          2,
 		Render:           core.RenderConfig{RenderWorkers: 3},
 		Unfused:          true,
 		ExchangeScanWork: 1.5,
@@ -148,10 +149,54 @@ func TestDecodeErrors(t *testing.T) {
 		"unknown action": `{"mode":"infinite","systems":[{"actions":[{"type":"teleport"}]}]}`,
 		"unknown domain": `{"mode":"infinite","systems":[{"actions":[{"type":"sink","domain":{"type":"blob"}}]}]}`,
 		"source no pos":  `{"mode":"infinite","systems":[{"actions":[{"type":"source","rate":5}]}]}`,
+		"trailing data":  `{"mode":"infinite"} {}`,
 	}
 	for name, data := range cases {
 		if _, err := Decode([]byte(data)); err == nil {
 			t.Errorf("%s: decoded without error", name)
+		}
+	}
+}
+
+// Keys the decoder does not know — retired options such as aos_store
+// and workers, or a misspelling at any depth — are errors naming the
+// key, so an old or mistyped scenario file cannot silently run a
+// different configuration.
+func TestDecodeRejectsUnknownKeys(t *testing.T) {
+	data, err := Encode(fullScenario())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, edit := range map[string][2]string{
+		"aos_store":     {`"unfused": true`, `"unfused": true, "aos_store": true`},
+		"workers":       {`"unfused": true`, `"unfused": true, "workers": 2`},
+		"render_worker": {`"render_workers": 3`, `"render_worker": 3`},
+		"elasticty":     {`"elasticity"`, `"elasticty"`},
+	} {
+		if !strings.Contains(string(data), edit[0]) {
+			t.Fatalf("%s: encoded scenario has no %s", key, edit[0])
+		}
+		bad := strings.Replace(string(data), edit[0], edit[1], 1)
+		_, err := Decode([]byte(bad))
+		if err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Errorf("%s: Decode error %v, want one naming the key", key, err)
+		}
+	}
+}
+
+// The example scenario files decode under the strict decoder.
+func TestExampleScenariosDecode(t *testing.T) {
+	files, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no example scenarios found (%v)", err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(data); err != nil {
+			t.Errorf("%s: %v", f, err)
 		}
 	}
 }
