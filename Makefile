@@ -140,4 +140,6 @@ cover:
 	  'BEGIN { exit (p + 0 >= f + 0) ? 0 : 1 }' || \
 	  { echo "internal/core coverage below floor"; exit 1; }
 
-ci: build vet lint test race
+# Every fast gate the CI workflow's test and lint jobs run. fuzz-smoke
+# and the *-smoke script jobs stay CI-only for their run time.
+ci: build vet lint lint-selftest test race bench-smoke cover

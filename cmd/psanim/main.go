@@ -186,9 +186,9 @@ func main() {
 		}
 		// The smoke script greps this exact line for the bound address.
 		fmt.Printf("telemetry serving on http://%s\n", srv.Addr)
-		par, prof, err = core.RunParallelServed(scn, cl, *procs, plane)
+		par, prof, err = core.RunParallelProfiled(scn, cl, *procs, plane)
 	case observing:
-		par, prof, err = core.RunParallelProfiled(scn, cl, *procs)
+		par, prof, err = core.RunParallelProfiled(scn, cl, *procs, nil)
 	default:
 		par, err = core.RunParallel(scn, cl, *procs)
 	}

@@ -285,7 +285,7 @@ func printFigure2(cfg experiments.Config, format string) error {
 	scn.Frames = 1
 	scn.Trace = true
 	cl := cluster.New(cluster.Myrinet, cluster.GCC, cluster.NodeSpec{Type: cluster.TypeB, Count: 4})
-	res, prof, err := core.RunParallelProfiled(scn, cl, 4)
+	res, prof, err := core.RunParallelProfiled(scn, cl, 4, nil)
 	if err != nil {
 		return err
 	}

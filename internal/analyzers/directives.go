@@ -126,17 +126,6 @@ func (p *Pass) suppressed(pos token.Pos, name string) bool {
 	return true
 }
 
-// funcDoc returns the doc comment of the innermost function declaration
-// enclosing pos, plus the declaration itself.
-func enclosingFunc(file *ast.File, pos token.Pos) *ast.FuncDecl {
-	for _, decl := range file.Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Pos() <= pos && pos <= fd.End() {
-			return fd
-		}
-	}
-	return nil
-}
-
 // hasDirective reports whether the function's doc comment carries the
 // named directive (e.g. //pslint:hotpath).
 func hasDirective(fd *ast.FuncDecl, name string) bool {

@@ -29,7 +29,7 @@ func TestDecompSlabBitNeutral(t *testing.T) {
 				base.Schedule = sched
 				base.Trace = true
 
-				r1, p1, err := RunParallelProfiled(base, testCluster(4), 3)
+				r1, p1, err := RunParallelProfiled(base, testCluster(4), 3, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -40,7 +40,7 @@ func TestDecompSlabBitNeutral(t *testing.T) {
 				explicit.Decomp = DecompSlab
 				explicit.DecompStep = 0.3 // non-default; must be inert for slab
 
-				r2, p2, err := RunParallelProfiled(explicit, testCluster(4), 3)
+				r2, p2, err := RunParallelProfiled(explicit, testCluster(4), 3, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

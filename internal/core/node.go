@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"pscluster/internal/cluster"
@@ -12,10 +11,11 @@ import (
 // This file is the multi-process runner: RunNode executes ONE rank of
 // the Figure-2 pipeline over a caller-supplied Fabric, where runParallel
 // executes every rank over one virtual router. cmd/psnode wraps it into
-// a role launcher; the process constructors, the compiled step programs
-// and the cost model are shared with the in-process runner, so a
-// multi-process run over the net fabric reproduces the in-process run's
-// checksums, virtual clocks and traffic totals bit for bit.
+// a role launcher; setup (prepare), role construction (newRank), the
+// launcher (runRanks), the compiled step programs and the cost model
+// are shared with the in-process runner, so a multi-process run over
+// the net fabric reproduces the in-process run's checksums, virtual
+// clocks and traffic totals bit for bit.
 
 // Role names as they appear in cluster config files and psnode flags,
 // re-exported from the cluster package (which owns the config format).
@@ -74,29 +74,21 @@ type NodeResult struct {
 	LBRounds int
 }
 
-// runnableProc is a process role the runner can drive end to end.
-type runnableProc interface {
-	proc
-	run() error
-}
-
 // RunNode executes rank's role of the scenario over fab, blocking until
 // the run completes or aborts. The fabric must already be connected to
 // every peer (for the net fabric: listening, with the peer table set);
 // RunNode does not Close it — teardown order across processes is the
 // caller's call. With a non-nil sink the rank records its Figure-2
 // spans and publishes live per-frame telemetry exactly like
-// RunParallelServed; recording never advances virtual clocks, so the
-// NodeResult is bit-identical either way.
+// RunParallelProfiled with a sink; recording never advances virtual
+// clocks, so the NodeResult is bit-identical either way.
 //
 // Any error or panic aborts the fabric, which unblocks the peers'
 // pending operations so the whole cluster tears down rather than hangs.
 func RunNode(scn Scenario, cl *cluster.Cluster, nCalc, rank int, fab transport.Fabric, sink obs.FrameSink) (*NodeResult, error) {
-	if err := scn.Validate(); err != nil {
+	place, err := prepare(&scn, cl, nCalc)
+	if err != nil {
 		return nil, err
-	}
-	if nCalc < 1 {
-		return nil, fmt.Errorf("core: need at least one calculator")
 	}
 	if rank < 0 || rank >= NumRanks(nCalc) {
 		return nil, fmt.Errorf("core: rank %d outside run of %d processes", rank, NumRanks(nCalc))
@@ -104,44 +96,12 @@ func RunNode(scn Scenario, cl *cluster.Cluster, nCalc, rank int, fab transport.F
 	if fab.Rank() != rank {
 		return nil, fmt.Errorf("core: fabric is rank %d, asked to run rank %d", fab.Rank(), rank)
 	}
-	place, err := cl.Place(nCalc)
+	p, err := newRank(&scn, place, nCalc, rank, fab, sink != nil)
 	if err != nil {
 		return nil, err
 	}
-
-	var p runnableProc
-	switch rank {
-	case rankManager:
-		m, err := newManagerProc(&scn, place, nCalc, fab)
-		if err != nil {
-			return nil, err
-		}
-		if sink != nil {
-			m.rec = obs.NewRecorder(rank, "manager")
-		}
-		p = m
-	case rankImageGen:
-		g := newImageGenProc(&scn, place, nCalc, fab)
-		if sink != nil {
-			g.rec = obs.NewRecorder(rank, "image generator")
-		}
-		p = g
-	default:
-		c, err := newCalcProc(&scn, place, nCalc, rank-rankCalc0, fab)
-		if err != nil {
-			return nil, err
-		}
-		if sink != nil {
-			c.rec = obs.NewRecorder(rank, fmt.Sprintf("calculator %d", rank-rankCalc0))
-		}
-		p = c
-	}
-	if rec := p.recorder(); rec != nil {
-		fab.SetObserver(rec)
-		rec.AttachSink(sink)
-	}
-
-	if err := runNodeProc(fab, p); err != nil {
+	p.recorder().AttachSink(sink)
+	if err := runRanks(fab.Abort, []rankProc{p}); err != nil {
 		return nil, err
 	}
 
@@ -164,26 +124,4 @@ func RunNode(scn Scenario, cl *cluster.Cluster, nCalc, rank int, fab transport.F
 		}
 	}
 	return nr, nil
-}
-
-// runNodeProc drives one role with the same abort discipline as the
-// in-process launcher: an error or panic aborts the fabric so no peer
-// blocks forever; ErrAborted propagates as itself (a peer tore the run
-// down), everything else is wrapped as this rank's failure.
-func runNodeProc(fab transport.Fabric, p runnableProc) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if e, ok := r.(error); ok && errors.Is(e, transport.ErrAborted) {
-				err = e
-			} else {
-				err = fmt.Errorf("core: rank %d panicked: %v", p.rank(), r)
-			}
-			fab.Abort()
-		}
-	}()
-	if err := p.run(); err != nil {
-		fab.Abort()
-		return err
-	}
-	return nil
 }

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"pscluster/internal/actions"
+	"pscluster/internal/cluster"
+	"pscluster/internal/particle"
 	"pscluster/internal/transport"
 )
 
@@ -22,7 +27,7 @@ func runNodesLoopback(t *testing.T, scn Scenario, nCalc int) []*NodeResult {
 	}
 	cost := transport.DefaultCost(place, cl.Net)
 	n := NumRanks(nCalc)
-	fabs := make([]*transport.NetFabric, n)
+	fabs := make([]transport.Fabric, n)
 	addrs := make([]string, n)
 	for r := 0; r < n; r++ {
 		f, err := transport.ListenNet(r, n, "127.0.0.1:0", cost, transport.NetOptions{})
@@ -32,21 +37,11 @@ func runNodesLoopback(t *testing.T, scn Scenario, nCalc int) []*NodeResult {
 		fabs[r], addrs[r] = f, f.Addr()
 	}
 	for _, f := range fabs {
-		if err := f.SetPeers(addrs); err != nil {
+		if err := f.(*transport.NetFabric).SetPeers(addrs); err != nil {
 			t.Fatal(err)
 		}
 	}
-	results := make([]*NodeResult, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			results[r], errs[r] = RunNode(scn, cl, nCalc, r, fabs[r], nil)
-		}(r)
-	}
-	wg.Wait()
+	results, errs := runNodes(scn, cl, nCalc, fabs)
 	for _, f := range fabs {
 		f.Close()
 	}
@@ -56,6 +51,23 @@ func runNodesLoopback(t *testing.T, scn Scenario, nCalc int) []*NodeResult {
 		}
 	}
 	return results
+}
+
+// runNodes runs one RunNode call per fabric, each on its own goroutine,
+// and returns every rank's result and error.
+func runNodes(scn Scenario, cl *cluster.Cluster, nCalc int, fabs []transport.Fabric) ([]*NodeResult, []error) {
+	results := make([]*NodeResult, len(fabs))
+	errs := make([]error, len(fabs))
+	var wg sync.WaitGroup
+	for r := range fabs {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			results[r], errs[r] = RunNode(scn, cl, nCalc, r, fabs[r], nil)
+		}(r)
+	}
+	wg.Wait()
+	return results, errs
 }
 
 // The acceptance property of the whole fabric abstraction: a run split
@@ -137,5 +149,55 @@ func TestRunNodeValidatesInputs(t *testing.T) {
 	}
 	if _, err := RunNode(scn, cl, 0, 0, fab, nil); err == nil {
 		t.Error("zero calculators accepted")
+	}
+}
+
+// boomAction is a property action that panics on every application.
+type boomAction struct{}
+
+func (boomAction) Name() string                               { return "boom" }
+func (boomAction) Kind() actions.Kind                         { return actions.KindProperty }
+func (boomAction) Cost() float64                              { return 1 }
+func (boomAction) Apply(*actions.Context, *particle.Particle) { panic("boom") }
+
+// Every runner reports a calculator's panic as itself, never as the
+// aborts it caused in the peers.
+func TestRunErrorNamesRootCause(t *testing.T) {
+	scn := miniSnow(StaticLB, FiniteSpace)
+	for i := range scn.Systems {
+		scn.Systems[i].Actions = append([]actions.Action{boomAction{}}, scn.Systems[i].Actions...)
+	}
+	const nCalc = 3
+	cl := testCluster(4)
+	_, errPar := RunParallel(scn, cl, nCalc)
+	_, _, errProf := RunParallelProfiled(scn, cl, nCalc, nil)
+	_, errSims := RunSimsBaseline(scn, cl, nCalc)
+
+	// RunNode with every rank over one virtual router: a rank's abort
+	// reaches its peers as ErrAborted, so the cluster's root cause is the
+	// first rank error that is not.
+	place, err := cl.Place(nCalc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := transport.NewRouter(place, cl.Net)
+	fabs := make([]transport.Fabric, NumRanks(nCalc))
+	for r := range fabs {
+		fabs[r] = router.Endpoint(r)
+	}
+	_, errs := runNodes(scn, cl, nCalc, fabs)
+	errNode := errs[0]
+	for _, e := range errs {
+		if !errors.Is(e, transport.ErrAborted) {
+			errNode = e
+			break
+		}
+	}
+
+	names := []string{"RunParallel", "RunParallelProfiled", "RunSimsBaseline", "RunNode"}
+	for i, err := range []error{errPar, errProf, errSims, errNode} {
+		if err == nil || !strings.Contains(err.Error(), "panicked: boom") || errors.Is(err, transport.ErrAborted) {
+			t.Errorf("%s: error %v, want the calculator's panic", names[i], err)
+		}
 	}
 }

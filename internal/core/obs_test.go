@@ -54,7 +54,7 @@ func TestProfiledRunIsBitNeutral(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			traced, prof, err := RunParallelProfiled(scn, testCluster(4), 4)
+			traced, prof, err := RunParallelProfiled(scn, testCluster(4), 4, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +91,7 @@ func TestProfiledRunIsBitNeutral(t *testing.T) {
 func TestSendRecvTotalsBalance(t *testing.T) {
 	for name, scn := range profiledVariants() {
 		t.Run(name, func(t *testing.T) {
-			res, prof, err := RunParallelProfiled(scn, testCluster(4), 4)
+			res, prof, err := RunParallelProfiled(scn, testCluster(4), 4, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +121,7 @@ func TestSendRecvTotalsBalance(t *testing.T) {
 
 // The run-level metrics added by assembleProfile must mirror the Result.
 func TestProfileMetricsMatchResult(t *testing.T) {
-	res, prof, err := RunParallelProfiled(miniSnow(DynamicLB, InfiniteSpace), testCluster(4), 4)
+	res, prof, err := RunParallelProfiled(miniSnow(DynamicLB, InfiniteSpace), testCluster(4), 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestProfileMetricsMatchResult(t *testing.T) {
 // and every wire message present as a sender→receiver flow pair joined
 // by its correlation id.
 func TestProfileChromeTraceValid(t *testing.T) {
-	_, prof, err := RunParallelProfiled(miniSnow(DynamicLB, FiniteSpace), testCluster(4), 4)
+	_, prof, err := RunParallelProfiled(miniSnow(DynamicLB, FiniteSpace), testCluster(4), 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestProfileChromeTraceValid(t *testing.T) {
 // The Prometheus export must parse: every line a comment or a
 // "name{labels} value" sample with a valid float, one TYPE per family.
 func TestProfilePrometheusParses(t *testing.T) {
-	_, prof, err := RunParallelProfiled(miniSnow(DynamicLB, FiniteSpace), testCluster(4), 4)
+	_, prof, err := RunParallelProfiled(miniSnow(DynamicLB, FiniteSpace), testCluster(4), 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestProfilePrometheusParses(t *testing.T) {
 // Per-rank compute/comm/idle fractions must sum to one over the whole
 // run, for every profiled process.
 func TestProfileTimelineFractionsSum(t *testing.T) {
-	_, prof, err := RunParallelProfiled(miniSnow(DynamicLB, FiniteSpace), testCluster(4), 4)
+	_, prof, err := RunParallelProfiled(miniSnow(DynamicLB, FiniteSpace), testCluster(4), 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestFigure2PhaseOrderManyCalculators(t *testing.T) {
 // per-system schedule must tag spans with their system.
 func TestProfileSpanPhases(t *testing.T) {
 	scn := miniSnow(DynamicLB, FiniteSpace)
-	_, prof, err := RunParallelProfiled(scn, testCluster(3), 3)
+	_, prof, err := RunParallelProfiled(scn, testCluster(3), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +421,7 @@ func TestProfileSpanPhases(t *testing.T) {
 	}
 
 	scn.Schedule = BatchedSchedule
-	_, prof, err = RunParallelProfiled(scn, testCluster(3), 3)
+	_, prof, err = RunParallelProfiled(scn, testCluster(3), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +444,7 @@ func keys(m map[string]bool) []string {
 // deterministic as the engine.
 func TestProfileDeterministic(t *testing.T) {
 	run := func() (*obs.Profile, *Result) {
-		res, prof, err := RunParallelProfiled(miniSnow(DynamicLB, InfiniteSpace), testCluster(4), 4)
+		res, prof, err := RunParallelProfiled(miniSnow(DynamicLB, InfiniteSpace), testCluster(4), 4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -478,7 +478,7 @@ func TestProfileDeterministic(t *testing.T) {
 // A quick reference for humans reading the tests: the profile of even a
 // tiny run carries spans for every process.
 func TestProfileCoversAllRanks(t *testing.T) {
-	_, prof, err := RunParallelProfiled(miniSnow(StaticLB, FiniteSpace), testCluster(2), 2)
+	_, prof, err := RunParallelProfiled(miniSnow(StaticLB, FiniteSpace), testCluster(2), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,12 +503,12 @@ func TestServedRunProfileBitNeutral(t *testing.T) {
 	for name, scn := range profiledVariants() {
 		t.Run(name, func(t *testing.T) {
 			scn.Trace = true
-			plain, plainProf, err := RunParallelProfiled(scn, testCluster(4), 4)
+			plain, plainProf, err := RunParallelProfiled(scn, testCluster(4), 4, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			plane := live.NewPlane(live.Options{Window: 4, FrameBudget: 1e-9})
-			served, servedProf, err := RunParallelServed(scn, testCluster(4), 4, plane)
+			served, servedProf, err := RunParallelProfiled(scn, testCluster(4), 4, plane)
 			if err != nil {
 				t.Fatal(err)
 			}

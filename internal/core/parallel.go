@@ -43,132 +43,187 @@ func RunParallel(scn Scenario, cl *cluster.Cluster, nCalc int) (*Result, error) 
 
 // RunParallelProfiled runs like RunParallel with the observability layer
 // on: every process records Figure-2 phase spans, per-frame blocked-wait
-// and communication time, and traffic metrics. Recording reads virtual
-// clocks but never advances them, so the Result — frame checksums,
-// virtual times, traffic totals — is bit-identical to RunParallel's.
-func RunParallelProfiled(scn Scenario, cl *cluster.Cluster, nCalc int) (*Result, *obs.Profile, error) {
-	return runParallel(scn, cl, nCalc, true, nil)
-}
-
-// RunParallelServed runs like RunParallelProfiled with a live telemetry
-// sink attached: every process publishes one FrameRecord per frame (its
-// spans, message events, cloned metrics and role status) to the sink at
-// its frame boundary. Publishing happens after the frame closes and
-// never touches virtual clocks, so the Result and Profile stay
-// bit-identical to an unserved run — the sink only costs wall time.
-func RunParallelServed(scn Scenario, cl *cluster.Cluster, nCalc int, sink obs.FrameSink) (*Result, *obs.Profile, error) {
+// and communication time, and traffic metrics. With a non-nil sink every
+// process also publishes one live FrameRecord per frame (its spans,
+// message events, cloned metrics and role status) at its frame
+// boundary. Recording and publishing read virtual clocks but never
+// advance them, so the Result — frame checksums, virtual times, traffic
+// totals — is bit-identical to RunParallel's, and the Profile is the
+// same with or without a sink.
+func RunParallelProfiled(scn Scenario, cl *cluster.Cluster, nCalc int, sink obs.FrameSink) (*Result, *obs.Profile, error) {
 	return runParallel(scn, cl, nCalc, true, sink)
 }
 
 func runParallel(scn Scenario, cl *cluster.Cluster, nCalc int, profiled bool, sink obs.FrameSink) (*Result, *obs.Profile, error) {
-	if err := scn.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if nCalc < 1 {
-		return nil, nil, fmt.Errorf("core: need at least one calculator")
-	}
-	place, err := cl.Place(nCalc)
+	place, err := prepare(&scn, cl, nCalc)
 	if err != nil {
 		return nil, nil, err
 	}
 	router := transport.NewRouter(place, cl.Net)
-
-	mgr, err := newManagerProc(&scn, place, nCalc, router.Endpoint(rankManager))
-	if err != nil {
-		return nil, nil, err
-	}
-	img := newImageGenProc(&scn, place, nCalc, router.Endpoint(rankImageGen))
-	calcs := make([]*calcProc, nCalc)
-	for i := range calcs {
-		c, err := newCalcProc(&scn, place, nCalc, i, router.Endpoint(rankCalc0+i))
+	ranks := make([]rankProc, NumRanks(nCalc))
+	for r := range ranks {
+		p, err := newRank(&scn, place, nCalc, r, router.Endpoint(r), profiled)
 		if err != nil {
 			return nil, nil, err
 		}
-		calcs[i] = c
+		p.recorder().AttachSink(sink)
+		ranks[r] = p
+	}
+	if err := runRanks(router.Abort, ranks); err != nil {
+		return nil, nil, err
 	}
 
-	// Observability: one recorder per process goroutine, attached to its
-	// endpoint; zero synchronization while running, merged after the
-	// WaitGroup barrier below.
-	if profiled {
-		mgr.rec = obs.NewRecorder(rankManager, "manager")
-		mgr.ep.SetObserver(mgr.rec)
-		img.rec = obs.NewRecorder(rankImageGen, "image generator")
-		img.ep.SetObserver(img.rec)
-		for i, c := range calcs {
-			c.rec = obs.NewRecorder(rankCalc0+i, fmt.Sprintf("calculator %d", i))
-			c.ep.SetObserver(c.rec)
-		}
-		if sink != nil {
-			mgr.rec.AttachSink(sink)
-			img.rec.AttachSink(sink)
-			for _, c := range calcs {
-				c.rec.AttachSink(sink)
-			}
-		}
-	}
-
-	// Launch every process; any error or panic aborts the router so no
-	// peer blocks forever.
-	errs := make([]error, 2+nCalc)
-	var wg sync.WaitGroup
-	launch := func(slot int, fn func() error) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					if e, ok := p.(error); ok && errors.Is(e, transport.ErrAborted) {
-						errs[slot] = e
-					} else {
-						errs[slot] = fmt.Errorf("core: process %d panicked: %v", slot, p)
-					}
-					router.Abort()
-				}
-			}()
-			if err := fn(); err != nil {
-				errs[slot] = err
-				router.Abort()
-			}
-		}()
-	}
-	launch(rankManager, mgr.run)
-	launch(rankImageGen, img.run)
-	for i := range calcs {
-		launch(rankCalc0+i, calcs[i].run)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil && !errors.Is(e, transport.ErrAborted) {
-			return nil, nil, e
-		}
-	}
-	for _, e := range errs {
-		if e != nil {
-			return nil, nil, e
-		}
-	}
-
-	res := assembleResult(&scn, mgr, img, calcs)
+	res := assembleResult(&scn, ranks)
 	var prof *obs.Profile
 	if profiled {
-		prof = assembleProfile(res, mgr, img, calcs)
+		prof = assembleProfile(res, ranks)
 	}
 	return res, prof, nil
 }
 
+// prepare is the setup every runner shares: it validates the scenario
+// and places nCalc calculators, the manager and the image generator on
+// the cluster.
+func prepare(scn *Scenario, cl *cluster.Cluster, nCalc int) (*cluster.Placement, error) {
+	if err := scn.Validate(); err != nil {
+		return nil, err
+	}
+	if nCalc < 1 {
+		return nil, fmt.Errorf("core: need at least one calculator")
+	}
+	return cl.Place(nCalc)
+}
+
+// procBase is the state every rank's role shares: its scenario, its
+// fabric endpoint, the compute rate of the node it is placed on, and
+// its recorder and trace events (nil unless the run is profiled or
+// traced).
+type procBase struct {
+	scn    *Scenario
+	ep     transport.Fabric
+	rate   float64
+	rec    *obs.Recorder
+	events []Event
+}
+
+func (b *procBase) scenario() *Scenario        { return b.scn }
+func (b *procBase) endpoint() transport.Fabric { return b.ep }
+func (b *procBase) recorder() *obs.Recorder    { return b.rec }
+func (b *procBase) rank() int                  { return b.ep.Rank() }
+func (b *procBase) pushEvent(ev Event)         { b.events = append(b.events, ev) }
+
+// rankProc is one rank as runRanks drives it and the result assembly
+// reads it: its role body, its endpoint and its recorder.
+type rankProc interface {
+	rank() int
+	endpoint() transport.Fabric
+	recorder() *obs.Recorder
+	run() error
+}
+
+// newRank builds rank's model role over fab — the manager, the image
+// generator or a calculator, in the fixed layout of paper §3.1.1. The
+// in-process runner (every rank over one virtual router) and RunNode
+// (one rank per OS process over a net fabric) both build their ranks
+// here, so they run bit-identical process state. With record set the
+// rank gets a Figure-2 recorder attached to fab as its observer; the
+// rank's goroutine owns it without synchronization, and it is read only
+// after runRanks returns.
+func newRank(scn *Scenario, place *cluster.Placement, nCalc, rank int, fab transport.Fabric, record bool) (rankProc, error) {
+	base := procBase{scn: scn, ep: fab, rate: place.Rate(rank)}
+	observe := func(name string) {
+		if record {
+			base.rec = obs.NewRecorder(rank, name)
+			fab.SetObserver(base.rec)
+		}
+	}
+	switch rank {
+	case rankManager:
+		observe("manager")
+		return newManagerProc(base, place, nCalc)
+	case rankImageGen:
+		observe("image generator")
+		return newImageGenProc(base, nCalc), nil
+	default:
+		observe(fmt.Sprintf("calculator %d", rank-rankCalc0))
+		return newCalcProc(base, place, nCalc, rank-rankCalc0)
+	}
+}
+
+// runRanks runs every rank on its own goroutine and waits for all of
+// them. A rank's error or panic aborts the fabric, which unblocks its
+// peers' pending operations so the run tears down rather than hangs. A
+// panic becomes "core: rank N panicked"; ErrAborted — a peer tore the
+// run down — passes through as itself. The root cause wins: the first
+// error in rank order that is not ErrAborted is returned before any
+// ErrAborted.
+func runRanks(abort func(), ranks []rankProc) error {
+	errs := make([]error, len(ranks))
+	var wg sync.WaitGroup
+	for i, p := range ranks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					if e, ok := r.(error); ok && errors.Is(e, transport.ErrAborted) {
+						errs[i] = e
+					} else {
+						errs[i] = fmt.Errorf("core: rank %d panicked: %v", p.rank(), r)
+					}
+					abort()
+				}
+			}()
+			if err := p.run(); err != nil {
+				errs[i] = err
+				abort()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, e := range errs {
+		if e != nil && !errors.Is(e, transport.ErrAborted) {
+			return e
+		}
+	}
+	for _, e := range errs {
+		if e != nil {
+			return e
+		}
+	}
+	return nil
+}
+
+// sumRanks fills res's per-process clocks, its run time (the latest
+// clock) and its traffic totals from every rank's endpoint.
+func sumRanks(res *Result, ranks []rankProc) {
+	for _, p := range ranks {
+		ep := p.endpoint()
+		t := ep.Clock().Now()
+		res.PerProcTime = append(res.PerProcTime, t)
+		if t > res.Time {
+			res.Time = t
+		}
+		st := ep.Stats()
+		res.MsgsSent += st.MsgsSent
+		res.BytesSent += st.BytesSent
+		res.MsgsRecv += st.MsgsRecv
+		res.BytesRecv += st.BytesRecv
+	}
+}
+
 // assembleProfile merges the per-process recorders and adds the
 // run-level metrics the recorders cannot see on their own.
-func assembleProfile(res *Result, mgr *managerProc, img *imageGenProc, calcs []*calcProc) *obs.Profile {
-	recs := []*obs.Recorder{mgr.rec, img.rec}
-	for _, c := range calcs {
-		recs = append(recs, c.rec)
+func assembleProfile(res *Result, ranks []rankProc) *obs.Profile {
+	recs := make([]*obs.Recorder, len(ranks))
+	for r, p := range ranks {
+		recs[r] = p.recorder()
 	}
 	p := obs.NewProfile(recs...)
 	reg := p.Registry
 
 	var orders, evals int
-	for _, b := range mgr.balancers {
+	for _, b := range ranks[rankManager].(*managerProc).balancers {
 		orders += b.Stat.Orders
 		evals += b.Stat.Evaluations
 	}
@@ -192,13 +247,14 @@ func assembleProfile(res *Result, mgr *managerProc, img *imageGenProc, calcs []*
 			"final stored particles per calculator",
 			"rank", strconv.Itoa(rankCalc0+i)).Set(float64(load))
 	}
-	for i, c := range calcs {
+	for r, p := range ranks[rankCalc0:] {
+		passes := p.(*calcProc).passes
 		reg.Counter("pscluster_compute_bin_passes_total",
 			"bin-batch kernel applications per calculator",
-			"rank", strconv.Itoa(rankCalc0+i)).Add(float64(c.passes.bins))
+			"rank", strconv.Itoa(rankCalc0+r)).Add(float64(passes.bins))
 		reg.Counter("pscluster_compute_particle_passes_total",
 			"particle kernel applications per calculator (stored scale)",
-			"rank", strconv.Itoa(rankCalc0+i)).Add(float64(c.passes.particles))
+			"rank", strconv.Itoa(rankCalc0+r)).Add(float64(passes.particles))
 	}
 	for rank, t := range res.PerProcTime {
 		reg.Gauge("pscluster_proc_time_seconds",
@@ -209,7 +265,13 @@ func assembleProfile(res *Result, mgr *managerProc, img *imageGenProc, calcs []*
 }
 
 // assembleResult merges per-process state into one Result.
-func assembleResult(scn *Scenario, mgr *managerProc, img *imageGenProc, calcs []*calcProc) *Result {
+func assembleResult(scn *Scenario, ranks []rankProc) *Result {
+	mgr := ranks[rankManager].(*managerProc)
+	img := ranks[rankImageGen].(*imageGenProc)
+	calcs := make([]*calcProc, 0, len(ranks)-rankCalc0)
+	for _, p := range ranks[rankCalc0:] {
+		calcs = append(calcs, p.(*calcProc))
+	}
 	res := &Result{
 		Frames:         scn.Frames,
 		FrameChecksums: img.checksums,
@@ -217,27 +279,11 @@ func assembleResult(scn *Scenario, mgr *managerProc, img *imageGenProc, calcs []
 		LBRounds:       mgr.lbRounds,
 		FrameImbalance: mgr.imbalance,
 	}
-	res.PerProcTime = append(res.PerProcTime, mgr.ep.Clock().Now(), img.ep.Clock().Now())
-	for _, c := range calcs {
-		res.PerProcTime = append(res.PerProcTime, c.ep.Clock().Now())
-	}
-	for _, t := range res.PerProcTime {
-		if t > res.Time {
-			res.Time = t
-		}
-	}
-	res.MsgsSent = mgr.ep.Stats().MsgsSent + img.ep.Stats().MsgsSent
-	res.BytesSent = mgr.ep.Stats().BytesSent + img.ep.Stats().BytesSent
-	res.MsgsRecv = mgr.ep.Stats().MsgsRecv + img.ep.Stats().MsgsRecv
-	res.BytesRecv = mgr.ep.Stats().BytesRecv + img.ep.Stats().BytesRecv
+	sumRanks(res, ranks)
 	exchanged, calcMoved := 0, 0
 	for _, c := range calcs {
 		exchanged += c.exchangedStored
 		calcMoved += c.lbMovedStored
-		res.MsgsSent += c.ep.Stats().MsgsSent
-		res.BytesSent += c.ep.Stats().BytesSent
-		res.MsgsRecv += c.ep.Stats().MsgsRecv
-		res.BytesRecv += c.ep.Stats().BytesRecv
 		load := 0
 		for _, st := range c.stores {
 			load += st.Len()
@@ -308,32 +354,27 @@ func newDecomps(scn *Scenario, nCalc int) ([]domain.Decomposition, error) {
 	return ds, nil
 }
 
-// newManagerProc builds the manager-role process state over fab. The
-// constructors are shared between the in-process runner (runParallel,
-// every role over one virtual router) and the multi-process runner
-// (RunNode, one role per OS process over a net fabric): both build
-// bit-identical process state.
-func newManagerProc(scn *Scenario, place *cluster.Placement, nCalc int, fab transport.Fabric) (*managerProc, error) {
-	decomps, err := newDecomps(scn, nCalc)
+// newManagerProc builds the manager-role process state on base.
+func newManagerProc(base procBase, place *cluster.Placement, nCalc int) (*managerProc, error) {
+	decomps, err := newDecomps(base.scn, nCalc)
 	if err != nil {
 		return nil, err
 	}
 	return &managerProc{
-		scn: scn, ep: fab, rate: place.Rate(rankManager),
-		decomps: decomps, power: calcPower(scn, place, nCalc),
+		procBase: base, decomps: decomps, power: calcPower(base.scn, place, nCalc),
 		calcRanks: calcRankList(nCalc), nCalc: nCalc,
 	}, nil
 }
 
-// newCalcProc builds calculator idx's process state over fab.
-func newCalcProc(scn *Scenario, place *cluster.Placement, nCalc, idx int, fab transport.Fabric) (*calcProc, error) {
+// newCalcProc builds calculator idx's process state on base.
+func newCalcProc(base procBase, place *cluster.Placement, nCalc, idx int) (*calcProc, error) {
+	scn := base.scn
 	decomps, err := newDecomps(scn, nCalc)
 	if err != nil {
 		return nil, err
 	}
 	c := &calcProc{
-		scn: scn, idx: idx, ep: fab,
-		rate: place.Rate(rankCalc0 + idx), decomps: decomps, nCalc: nCalc,
+		procBase: base, idx: idx, decomps: decomps, nCalc: nCalc,
 		power: calcPower(scn, place, nCalc),
 	}
 	lo, hi := scn.SpaceInterval()
@@ -361,12 +402,23 @@ func newCalcProc(scn *Scenario, place *cluster.Placement, nCalc, idx int, fab tr
 	return c, nil
 }
 
-// newImageGenProc builds the image-generator process state over fab.
-func newImageGenProc(scn *Scenario, place *cluster.Placement, nCalc int, fab transport.Fabric) *imageGenProc {
-	return &imageGenProc{
-		scn: scn, ep: fab, rate: place.Rate(rankImageGen),
-		calcRanks: calcRankList(nCalc),
+// newImageGenProc builds the image-generator process state on base.
+func newImageGenProc(base procBase, nCalc int) *imageGenProc {
+	return &imageGenProc{procBase: base, calcRanks: calcRankList(nCalc)}
+}
+
+// rankContexts builds rank's per-system action contexts, each RNG seeded
+// from the system seed with the rank in the high word. The manager
+// (rank 0) thus draws the plain system stream, as the sequential engine
+// does. Stochastic per-particle actions use the particles' private
+// streams, so a calculator's RNG only matters for actions that
+// deliberately want process-local noise.
+func rankContexts(scn *Scenario, rank int) []*actions.Context {
+	ctxs := make([]*actions.Context, len(scn.Systems))
+	for i := range ctxs {
+		ctxs[i] = &actions.Context{RNG: geom.NewRNG(scn.Systems[i].Seed ^ uint64(rank)<<32), DT: scn.DT}
 	}
+	return ctxs
 }
 
 // billed inflates a payload size by the representation ratio.
@@ -419,9 +471,7 @@ func (c *calcProc) groupOwnerBatches(si int, b *particle.Batch) []*particle.Batc
 // ---------------------------------------------------------------------
 
 type managerProc struct {
-	scn       *Scenario
-	ep        transport.Fabric
-	rate      float64
+	procBase
 	decomps   []domain.Decomposition
 	power     []float64
 	calcRanks []int
@@ -432,8 +482,6 @@ type managerProc struct {
 	lbRounds      int
 	lbMovedStored int
 	imbalance     []float64 // per-frame max/mean load ratio, from LB reports
-	events        []Event
-	rec           *obs.Recorder // nil unless the run is profiled
 
 	// slotGroups is the creation scatter's grouping scratch, one
 	// per-calculator group set per creation slot; see groupByOwner.
@@ -489,12 +537,7 @@ func (m *managerProc) recordImbalance() {
 	m.imbalance = append(m.imbalance, imb)
 }
 
-func (m *managerProc) scenario() *Scenario        { return m.scn }
-func (m *managerProc) endpoint() transport.Fabric { return m.ep }
-func (m *managerProc) recorder() *obs.Recorder    { return m.rec }
-func (m *managerProc) rank() int                  { return rankManager }
-func (m *managerProc) beginFrame(frame int)       { m.fs = managerFrame{frame: frame} }
-func (m *managerProc) pushEvent(ev Event)         { m.events = append(m.events, ev) }
+func (m *managerProc) beginFrame(frame int) { m.fs = managerFrame{frame: frame} }
 
 func (m *managerProc) annotateLive(fr *obs.FrameRecord) {
 	fr.LBRounds = m.lbRounds
@@ -506,13 +549,12 @@ func (m *managerProc) annotateLive(fr *obs.FrameRecord) {
 func (m *managerProc) run() error {
 	scn := m.scn
 	m.balancers = make([]*loadbalance.Balancer, len(scn.Systems))
-	m.ctxs = make([]*actions.Context, len(scn.Systems))
+	m.ctxs = rankContexts(scn, rankManager)
 	for i := range scn.Systems {
 		m.balancers[i] = loadbalance.New(scn.LBThreshold, scn.LBMinBatch)
 		if scn.NaivePairing {
 			m.balancers[i].Alternate = false
 		}
-		m.ctxs[i] = &actions.Context{RNG: geom.NewRNG(scn.Systems[i].Seed), DT: scn.DT}
 	}
 	return runProgram(m, scn.Schedule.plan().compileManager(m, scn.lbPolicy()))
 }
@@ -522,10 +564,8 @@ func (m *managerProc) run() error {
 // ---------------------------------------------------------------------
 
 type calcProc struct {
-	scn     *Scenario
+	procBase
 	idx     int // calculator index (rank - 2)
-	ep      transport.Fabric
-	rate    float64
 	decomps []domain.Decomposition
 	stores  []*particle.ColumnStore
 	nCalc   int
@@ -541,8 +581,6 @@ type calcProc struct {
 
 	exchangedStored int
 	lbMovedStored   int
-	events          []Event
-	rec             *obs.Recorder // nil unless the run is profiled
 
 	// groups is the exchange grouping scratch, one batch per (system,
 	// peer); see groupOwnerBatches.
@@ -577,11 +615,6 @@ type calcFrame struct {
 	donations []*particle.Batch
 }
 
-func (c *calcProc) scenario() *Scenario        { return c.scn }
-func (c *calcProc) endpoint() transport.Fabric { return c.ep }
-func (c *calcProc) recorder() *obs.Recorder    { return c.rec }
-func (c *calcProc) rank() int                  { return rankCalc0 + c.idx }
-
 func (c *calcProc) beginFrame(frame int) {
 	work, oldLoad := c.fs.work, c.fs.oldLoad
 	for i := range work {
@@ -592,8 +625,6 @@ func (c *calcProc) beginFrame(frame int) {
 	}
 	c.fs = calcFrame{frame: frame, work: work, oldLoad: oldLoad}
 }
-
-func (c *calcProc) pushEvent(ev Event) { c.events = append(c.events, ev) }
 
 // slab returns system si's decomposition as the paper's slab Table;
 // see managerProc.slab.
@@ -618,16 +649,7 @@ func (c *calcProc) otherCalcRanks() []int {
 
 func (c *calcProc) run() error {
 	scn := c.scn
-	// Calculator-local contexts: stochastic per-particle actions use the
-	// particles' private streams, so this RNG only matters for actions
-	// that deliberately want process-local noise.
-	c.ctxs = make([]*actions.Context, len(scn.Systems))
-	for i := range c.ctxs {
-		c.ctxs[i] = &actions.Context{
-			RNG: geom.NewRNG(scn.Systems[i].Seed ^ uint64(rankCalc0+c.idx)<<32),
-			DT:  scn.DT,
-		}
-	}
+	c.ctxs = rankContexts(scn, c.rank())
 	c.others = c.otherCalcRanks()
 	c.fs.work = make([]float64, len(scn.Systems))
 	c.fs.oldLoad = make([]int, len(scn.Systems))
@@ -641,9 +663,7 @@ func (c *calcProc) run() error {
 // ---------------------------------------------------------------------
 
 type imageGenProc struct {
-	scn       *Scenario
-	ep        transport.Fabric
-	rate      float64
+	procBase
 	calcRanks []int
 
 	fb  *render.Framebuffer // nil unless the scenario rasterizes
@@ -665,8 +685,6 @@ type imageGenProc struct {
 
 	checksums  []uint64
 	frameTimes []float64
-	events     []Event
-	rec        *obs.Recorder // nil unless the run is profiled
 
 	fs imageFrame
 }
@@ -697,12 +715,7 @@ type imageFrame struct {
 	frameSum uint64
 }
 
-func (g *imageGenProc) scenario() *Scenario        { return g.scn }
-func (g *imageGenProc) endpoint() transport.Fabric { return g.ep }
-func (g *imageGenProc) recorder() *obs.Recorder    { return g.rec }
-func (g *imageGenProc) rank() int                  { return rankImageGen }
-func (g *imageGenProc) beginFrame(frame int)       { g.fs = imageFrame{frame: frame} }
-func (g *imageGenProc) pushEvent(ev Event)         { g.events = append(g.events, ev) }
+func (g *imageGenProc) beginFrame(frame int) { g.fs = imageFrame{frame: frame} }
 
 func (g *imageGenProc) annotateLive(fr *obs.FrameRecord) {
 	fr.FramesDone = len(g.checksums)

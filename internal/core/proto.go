@@ -438,16 +438,6 @@ func encodeRenderSet(st *particle.ColumnStore) []byte {
 	return b
 }
 
-// decodeRenderColumns unpacks compact render records straight into
-// batch columns (only the rendering columns are populated).
-func decodeRenderColumns(b []byte) (*particle.Batch, error) {
-	cols := &particle.Batch{}
-	if err := decodeRenderColumnsInto(cols, b); err != nil {
-		return nil, err
-	}
-	return cols, nil
-}
-
 // decodeRenderColumnsInto unpacks compact render records into a
 // reusable batch, truncating it first — the image generator's
 // per-message decode scratch.

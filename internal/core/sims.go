@@ -1,13 +1,10 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 
 	"pscluster/internal/actions"
 	"pscluster/internal/cluster"
-	"pscluster/internal/geom"
 	"pscluster/internal/particle"
 	"pscluster/internal/transport"
 )
@@ -34,11 +31,9 @@ import (
 // the simulated cluster: a manager dealing particles round-robin, nCalc
 // calculators with no domain structure, and the usual image generator.
 func RunSimsBaseline(scn Scenario, cl *cluster.Cluster, nCalc int) (*Result, error) {
-	if err := scn.Validate(); err != nil {
+	place, err := prepare(&scn, cl, nCalc)
+	if err != nil {
 		return nil, err
-	}
-	if nCalc < 1 {
-		return nil, fmt.Errorf("core: need at least one calculator")
 	}
 	for si := range scn.Systems {
 		for _, a := range scn.Systems[si].Actions {
@@ -47,76 +42,30 @@ func RunSimsBaseline(scn Scenario, cl *cluster.Cluster, nCalc int) (*Result, err
 			}
 		}
 	}
-	place, err := cl.Place(nCalc)
-	if err != nil {
-		return nil, err
-	}
 	router := transport.NewRouter(place, cl.Net)
 
-	calcRanks := make([]int, nCalc)
-	for i := range calcRanks {
-		calcRanks[i] = rankCalc0 + i
+	base := func(rank int) procBase {
+		return procBase{scn: &scn, ep: router.Endpoint(rank), rate: place.Rate(rank)}
 	}
-
-	mgr := &simsManager{
-		scn: &scn, ep: router.Endpoint(rankManager), rate: place.Rate(rankManager), nCalc: nCalc,
-	}
-	img := &imageGenProc{
-		scn: &scn, ep: router.Endpoint(rankImageGen), rate: place.Rate(rankImageGen),
-		calcRanks: calcRanks,
-	}
+	mgr := &simsManager{procBase: base(rankManager), nCalc: nCalc}
+	img := newImageGenProc(base(rankImageGen), nCalc)
 	calcs := make([]*simsCalc, nCalc)
+	ranks := []rankProc{mgr, img}
 	for i := range calcs {
 		calcs[i] = &simsCalc{
-			scn: &scn, idx: i, ep: router.Endpoint(rankCalc0 + i),
-			rate: place.Rate(rankCalc0 + i), nCalc: nCalc,
+			procBase: base(rankCalc0 + i), idx: i, nCalc: nCalc,
 			sets: make([][]particle.Particle, len(scn.Systems)),
 		}
+		ranks = append(ranks, calcs[i])
 	}
-
-	errs := make([]error, 2+nCalc)
-	var wg sync.WaitGroup
-	launch := func(slot int, fn func() error) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					if e, ok := p.(error); ok && errors.Is(e, transport.ErrAborted) {
-						errs[slot] = e
-					} else {
-						errs[slot] = fmt.Errorf("core: sims process %d panicked: %v", slot, p)
-					}
-					router.Abort()
-				}
-			}()
-			if err := fn(); err != nil {
-				errs[slot] = err
-				router.Abort()
-			}
-		}()
-	}
-	launch(rankManager, mgr.run)
-	launch(rankImageGen, img.run)
-	for i := range calcs {
-		launch(rankCalc0+i, calcs[i].run)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
+	if err := runRanks(router.Abort, ranks); err != nil {
+		return nil, err
 	}
 
 	res := &Result{Frames: scn.Frames, FrameChecksums: img.checksums, FrameTimes: img.frameTimes}
-	res.PerProcTime = append(res.PerProcTime, mgr.ep.Clock().Now(), img.ep.Clock().Now())
-	res.MsgsSent = mgr.ep.Stats().MsgsSent + img.ep.Stats().MsgsSent
-	res.BytesSent = mgr.ep.Stats().BytesSent + img.ep.Stats().BytesSent
+	sumRanks(res, ranks)
 	ghosts := 0
 	for _, c := range calcs {
-		res.PerProcTime = append(res.PerProcTime, c.ep.Clock().Now())
-		res.MsgsSent += c.ep.Stats().MsgsSent
-		res.BytesSent += c.ep.Stats().BytesSent
 		ghosts += c.ghostsSent
 		load := 0
 		for _, set := range c.sets {
@@ -128,11 +77,6 @@ func RunSimsBaseline(scn Scenario, cl *cluster.Cluster, nCalc int) (*Result, err
 	// traffic the model's locality avoids.
 	res.ExchangedParticles = int(float64(ghosts) * scn.Ratio)
 	res.ExchangedBytes = int(float64(ghosts*particle.WireSize) * scn.Ratio)
-	for _, t := range res.PerProcTime {
-		if t > res.Time {
-			res.Time = t
-		}
-	}
 	if scn.CollectParticles {
 		res.FinalParticles = make([][]particle.Particle, len(scn.Systems))
 		for si := range scn.Systems {
@@ -149,18 +93,13 @@ func RunSimsBaseline(scn Scenario, cl *cluster.Cluster, nCalc int) (*Result, err
 
 // simsManager creates particles and deals them round-robin.
 type simsManager struct {
-	scn   *Scenario
-	ep    transport.Fabric
-	rate  float64
+	procBase
 	nCalc int
 }
 
 func (m *simsManager) run() error {
 	scn := m.scn
-	ctxs := make([]*actions.Context, len(scn.Systems))
-	for i := range ctxs {
-		ctxs[i] = &actions.Context{RNG: geom.NewRNG(scn.Systems[i].Seed), DT: scn.DT}
-	}
+	ctxs := rankContexts(scn, rankManager)
 	for frame := 0; frame < scn.Frames; frame++ {
 		for si := range scn.Systems {
 			for _, a := range scn.Systems[si].Actions {
@@ -191,10 +130,8 @@ func (m *simsManager) run() error {
 // simsCalc holds plain per-system particle slices — no domains, no
 // sub-domain bins.
 type simsCalc struct {
-	scn   *Scenario
+	procBase
 	idx   int
-	ep    transport.Fabric
-	rate  float64
 	nCalc int
 	sets  [][]particle.Particle
 
@@ -203,13 +140,7 @@ type simsCalc struct {
 
 func (c *simsCalc) run() error {
 	scn := c.scn
-	ctxs := make([]*actions.Context, len(scn.Systems))
-	for i := range ctxs {
-		ctxs[i] = &actions.Context{
-			RNG: geom.NewRNG(scn.Systems[i].Seed ^ uint64(rankCalc0+c.idx)<<32),
-			DT:  scn.DT,
-		}
-	}
+	ctxs := rankContexts(scn, c.rank())
 	// A throwaway store over all space backs the store actions.
 	lo, hi := scn.SpaceInterval()
 

@@ -107,6 +107,30 @@ func TestSimsSlowerThanModelUnderCollisionsOnSlowNetwork(t *testing.T) {
 	}
 }
 
+// Result documents that receive totals equal send totals in a
+// well-formed run; the baseline sums them from the same per-rank
+// endpoints as the model, ghost broadcasts included.
+func TestSimsReportsRecvTraffic(t *testing.T) {
+	for _, collide := range []bool{false, true} {
+		scn := miniSnow(DynamicLB, FiniteSpace)
+		if collide {
+			for i := range scn.Systems {
+				scn.Systems[i].Actions = append([]actions.Action{
+					&actions.CollideParticles{Radius: 1.5, Elasticity: 0.8},
+				}, scn.Systems[i].Actions...)
+			}
+		}
+		res, err := RunSimsBaseline(scn, testCluster(4), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.MsgsSent == 0 || res.MsgsRecv != res.MsgsSent || res.BytesRecv != res.BytesSent {
+			t.Errorf("collide=%v: received %d msgs / %d B, sent %d msgs / %d B",
+				collide, res.MsgsRecv, res.BytesRecv, res.MsgsSent, res.BytesSent)
+		}
+	}
+}
+
 func TestSimsRejectsMatchVelocity(t *testing.T) {
 	scn := miniSnow(StaticLB, FiniteSpace)
 	scn.Systems[0].Actions = append(scn.Systems[0].Actions,

@@ -43,7 +43,7 @@ func TestTiledRenderBitNeutral(t *testing.T) {
 					base.PipelineFrames = pipe
 					base.Trace = true
 
-					r1, p1, err := RunParallelProfiled(base, testCluster(4), 3)
+					r1, p1, err := RunParallelProfiled(base, testCluster(4), 3, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -52,7 +52,7 @@ func TestTiledRenderBitNeutral(t *testing.T) {
 					for _, workers := range []int{2, 8} {
 						scn := base
 						scn.Render.RenderWorkers = workers
-						rw, pw, err := RunParallelProfiled(scn, testCluster(4), 3)
+						rw, pw, err := RunParallelProfiled(scn, testCluster(4), 3, nil)
 						if err != nil {
 							t.Fatal(err)
 						}

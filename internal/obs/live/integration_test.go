@@ -32,7 +32,7 @@ func TestLiveServedEngineRun(t *testing.T) {
 	}
 	defer srv.Close()
 
-	res, prof, err := core.RunParallelServed(scn, cl, 3, plane)
+	res, prof, err := core.RunParallelProfiled(scn, cl, 3, plane)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -268,10 +268,22 @@ func RunParallel(scn Scenario, cl *Cluster, nCalc int) (*Result, error) {
 // registry, with Chrome-trace / Prometheus / JSON exporters.
 type Profile = obs.Profile
 
-// RunParallelProfiled is RunParallel with recording switched on. It is
-// bit-neutral: the Result is identical to an unprofiled run's.
-func RunParallelProfiled(scn Scenario, cl *Cluster, nCalc int) (*Result, *Profile, error) {
-	return core.RunParallelProfiled(scn, cl, nCalc)
+// RunParallelProfiled is RunParallel with recording switched on. With a
+// non-nil telemetry plane every rank also publishes per-frame snapshots
+// to it as it runs; a nil plane means no live publishing. Both are
+// bit-neutral: the Result is identical to an unprofiled run's, and the
+// Profile to an unserved one's.
+func RunParallelProfiled(scn Scenario, cl *Cluster, nCalc int, p *TelemetryPlane) (*Result, *Profile, error) {
+	return core.RunParallelProfiled(scn, cl, nCalc, frameSink(p))
+}
+
+// frameSink is the plane as the engine's frame sink. A nil plane is no
+// sink at all, not a non-nil interface holding a nil pointer.
+func frameSink(p *TelemetryPlane) obs.FrameSink {
+	if p == nil {
+		return nil
+	}
+	return p
 }
 
 // TelemetryPlane is the live telemetry plane: an always-on frame sink
@@ -295,14 +307,6 @@ func NewTelemetryPlane(opts TelemetryOptions) *TelemetryPlane {
 // free port; the bound address is in the returned server's Addr).
 func ServeTelemetry(addr string, p *TelemetryPlane) (*TelemetryServer, error) {
 	return live.Serve(addr, p)
-}
-
-// RunParallelServed is RunParallelProfiled with each rank additionally
-// publishing per-frame snapshots to the live telemetry plane as it
-// runs. Serving is bit-neutral: the Result and Profile are identical
-// to an unserved run's.
-func RunParallelServed(scn Scenario, cl *Cluster, nCalc int, p *TelemetryPlane) (*Result, *Profile, error) {
-	return core.RunParallelServed(scn, cl, nCalc, p)
 }
 
 // ---------------------------------------------------------------------
@@ -352,9 +356,11 @@ type NodeResult = core.NodeResult
 // RunNode executes one rank of the scenario over a connected fabric —
 // the per-process engine entry point cmd/psnode wraps. A loopback
 // cluster of RunNode calls reproduces RunParallel's frame checksums,
-// virtual clocks and traffic totals exactly.
-func RunNode(scn Scenario, cl *Cluster, nCalc, rank int, fab Fabric, sink obs.FrameSink) (*NodeResult, error) {
-	return core.RunNode(scn, cl, nCalc, rank, fab, sink)
+// virtual clocks and traffic totals exactly. With a non-nil telemetry
+// plane the rank records its spans and publishes live per-frame
+// telemetry to it; a nil plane means neither.
+func RunNode(scn Scenario, cl *Cluster, nCalc, rank int, fab Fabric, p *TelemetryPlane) (*NodeResult, error) {
+	return core.RunNode(scn, cl, nCalc, rank, fab, frameSink(p))
 }
 
 // RunSimsBaseline executes the scenario with the Karl Sims CM-2

@@ -2,6 +2,7 @@ package pscluster_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"pscluster"
@@ -61,6 +62,27 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 	if len(par.FinalParticles[0]) == 0 {
 		t.Error("no particles survived")
+	}
+}
+
+// A nil telemetry plane means no live publishing: the profiled run is
+// the plain run, not a nil-pointer dereference on the first frame.
+func TestPublicAPINilTelemetryPlane(t *testing.T) {
+	scn := apiScenario()
+	cl := pscluster.NewCluster(pscluster.Myrinet, pscluster.GCC, pscluster.Nodes(pscluster.TypeB, 2))
+	want, err := pscluster.RunParallel(scn, cl, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, prof, err := pscluster.RunParallelProfiled(scn, cl, 2, (*pscluster.TelemetryPlane)(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prof == nil {
+		t.Error("profiled run returned no profile")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("nil-plane result differs from RunParallel's:\n got %+v\nwant %+v", got, want)
 	}
 }
 
